@@ -68,7 +68,6 @@ struct BenchCase {
   std::array<int, 3> dims{1, 1, 1};
   bool coalesce = false;
   bool faults = false;
-  bool overlap = false;  // comm.overlap_exchange: async post + sub-ranges
 };
 
 struct RunResult {
@@ -108,7 +107,6 @@ RunResult run_case(const core::DycoreConfig& cfg, const BenchCase& bc,
   comm::Runtime::run(p, opts, [&](comm::Context& ctx) {
     core::DycoreConfig c = cfg;
     c.coalesce_exchange = bc.coalesce;
-    c.overlap_exchange = bc.overlap;
     auto drive = [&](auto& core) {
       auto xi = core.make_state();
       core.initialize(xi, ic);
@@ -275,31 +273,6 @@ int main(int argc, char** argv) {
     cases.push_back({"ca_yz_" + dims_tag(yz1) + tag, CoreKind::kCA,
                      core::DecompScheme::kYZ, yz1, coalesce});
   }
-  // Overlap (comm.overlap_exchange): the same grids with the exchange
-  // posted at pass start and drained per boundary sub-range, so the wait
-  // for each message hides behind the interior compute.  Counts and the
-  // final state must match the off twin exactly; only the split between
-  // exchange_wait and compute may move.
-  {
-    const std::array<int, 3> yz1{1, ranks, 1};
-    const std::array<int, 3> xy{ranks, 1, 1};
-    const std::array<int, 3> yz2{1, ranks / 2, 2};
-    cases.push_back({"original_yz_" + dims_tag(yz1) + "_overlap",
-                     CoreKind::kOriginal, core::DecompScheme::kYZ, yz1,
-                     false, false, /*overlap=*/true});
-    cases.push_back({"original_xy_" + dims_tag(xy) + "_overlap",
-                     CoreKind::kOriginal, core::DecompScheme::kXY, xy,
-                     false, false, /*overlap=*/true});
-    cases.push_back({"original_yz_" + dims_tag(yz2) + "_overlap",
-                     CoreKind::kOriginal, core::DecompScheme::kYZ, yz2,
-                     false, false, /*overlap=*/true});
-    cases.push_back({"ca_yz_" + dims_tag(yz1) + "_overlap", CoreKind::kCA,
-                     core::DecompScheme::kYZ, yz1, false, false,
-                     /*overlap=*/true});
-    cases.push_back({"ca_yz_" + dims_tag(yz1) + "_coalesced_overlap",
-                     CoreKind::kCA, core::DecompScheme::kYZ, yz1, true,
-                     false, /*overlap=*/true});
-  }
   // Fault-layer overhead: recoverable delay + duplicate injection on the
   // CA core, both granularities (recovery must preserve the answer).
   for (bool coalesce : {false, true}) {
@@ -360,7 +333,6 @@ int main(int argc, char** argv) {
         if (at != std::string::npos) base.erase(at, suffix.size());
       };
       strip("_faults");
-      strip("_overlap");
       strip("_coalesced");
       if (base == bc.label) {
         references.emplace_back(base, &r.global);
@@ -397,7 +369,6 @@ int main(int argc, char** argv) {
     entry["dims"] = std::move(dims);
     entry["coalesce"] = bc.coalesce;
     entry["faults"] = bc.faults;
-    entry["overlap"] = bc.overlap;
     entry["wall_seconds"] = r.wall;
     entry["per_step_seconds"] = r.wall / steps;
     util::Json phases = util::Json::object();
@@ -443,8 +414,7 @@ int main(int argc, char** argv) {
       if (cases[j].faults || cases[j].coalesce) continue;
       if (cases[j].core != cases[i].core ||
           cases[j].dims != cases[i].dims ||
-          cases[j].scheme != cases[i].scheme ||
-          cases[j].overlap != cases[i].overlap)
+          cases[j].scheme != cases[i].scheme)
         continue;
       if (results[j].exchange_messages > 0 &&
           results[i].exchange_messages >= results[j].exchange_messages) {
@@ -455,27 +425,6 @@ int main(int argc, char** argv) {
             static_cast<unsigned long long>(results[j].exchange_messages));
         ok = false;
       }
-    }
-  }
-
-  // Overlap hiding report (informational — wall-clock on a shared machine
-  // is too noisy for a hard gate): each overlap case against its off twin.
-  for (std::size_t i = 0; i < cases.size(); ++i) {
-    if (!cases[i].overlap || cases[i].faults) continue;
-    for (std::size_t j = 0; j < cases.size(); ++j) {
-      if (cases[j].overlap || cases[j].faults ||
-          cases[j].core != cases[i].core || cases[j].dims != cases[i].dims ||
-          cases[j].scheme != cases[i].scheme ||
-          cases[j].coalesce != cases[i].coalesce)
-        continue;
-      std::printf(
-          "overlap %-30s wait %7.2f ms (off twin %7.2f ms)%s\n",
-          cases[i].label.c_str(), 1e3 * results[i].exchange_wait,
-          1e3 * results[j].exchange_wait,
-          results[i].exchange_wait < results[j].exchange_wait
-              ? "  [hidden behind interior compute]"
-              : "");
-      break;
     }
   }
 

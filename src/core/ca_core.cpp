@@ -194,24 +194,19 @@ void CACore::step(state::State& xi) {
   const bool split_south = !decomp_.at_south_pole() && topo_.dims[1] > 1;
   const bool do_smooth = step_count_ > 0;
 
+  // Physics applied between steps (run_campaign's forcing) writes the
+  // interior only.  The former smoothing and the inner pass read the
+  // periodic-x and pole halos, so refill them from the current interior:
+  // a resumed run refills them in refresh_halos, and an uninterrupted
+  // one must read the same values.  Without forcing this rewrites the
+  // halos with the values they already hold.
+  fill_boundaries(xi);
+
   // --- former smoothing (S1) ------------------------------------------------
   if (do_smooth) {
-    if (options_.fuse_smoothing) {
-      pre_.assign(xi, pre_.extended(2, 2, 0));
-      ops::apply_smoothing_former(opctx_, xi, xi.interior(), split_north,
-                                  split_south);
-    } else {
-      // Ablation: separate smoothing exchange, as in the original scheme.
-      std::vector<ExchangeItem> sitems;
-      sitems.push_back({&xi.u(), nullptr, 0, 2, 0});
-      sitems.push_back({&xi.v(), nullptr, 0, 2, 0});
-      sitems.push_back({&xi.phi(), nullptr, 0, 2, 0});
-      sitems.push_back({nullptr, &xi.psa(), 0, 2, 0});
-      exchanger_.exchange(sitems, "stencil");
-      fill_boundaries(xi);
-      ops::apply_smoothing(opctx_, xi, eta_, xi.interior());
-      xi.assign(eta_, xi.interior());
-    }
+    pre_.assign(xi, pre_.extended(2, 2, 0));
+    ops::apply_smoothing_former(opctx_, xi, xi.interior(), split_north,
+                                split_south);
     fill_boundaries(xi);
   }
 
@@ -231,7 +226,7 @@ void CACore::step(state::State& xi) {
   items.push_back({&ws_.vert.sdot, nullptr, 0, depth_y, 0});
   items.push_back({&ws_.vert.w, nullptr, 0, depth_y, 0});
   items.push_back({&ws_.vert.phi_geo, nullptr, 0, depth_y, 0});
-  if (do_smooth && options_.fuse_smoothing) {
+  if (do_smooth) {
     // Depth 4: S2 recomputes the +-2 halo rows as complete canonical
     // folds, which read pre-smoothing rows out to +-4.
     items.push_back({&pre_.phi(), nullptr, 0, 4, 0});
@@ -241,7 +236,7 @@ void CACore::step(state::State& xi) {
 
   // --- overlapped inner eta1 (stale C: communication-free) ------------------
   const bool use_approx = options_.approximate_iteration;
-  const bool can_overlap = options_.overlap && have_stale_c_ && use_approx;
+  const bool can_overlap = have_stale_c_ && use_approx;
   mesh::Box inner{0, 0, 0, 0, 0, 0};
   if (can_overlap) {
     inner = mesh::Box{0,
@@ -261,7 +256,7 @@ void CACore::step(state::State& xi) {
   wrap_vert_x(ws_);
 
   // --- later smoothing (S2) --------------------------------------------------
-  if (do_smooth && options_.fuse_smoothing) {
+  if (do_smooth) {
     // The received pre-smoothing halo rows span the owned x extent only;
     // refresh their periodic x halos before S2's x-quartic reads them.
     mesh::fill_x_periodic(pre_.phi(), 2);
@@ -323,55 +318,25 @@ void CACore::step(state::State& xi) {
   aitems.push_back({&ws_.vert.sdot, nullptr, 0, 4, 3});
   exchanger_.begin(aitems, "stencil");
 
-  mesh::Box adv_inner{0, 0, 0, 0, 0, 0};
-  if (options_.overlap) {
-    adv_inner = mesh::Box{0,
-                          decomp_.lnx(),
-                          split_north ? 4 : 0,
-                          split_south ? decomp_.lny() - 4 : decomp_.lny(),
-                          decomp_.at_model_top() ? 0 : 2,
-                          decomp_.at_surface() ? decomp_.lnz()
-                                               : decomp_.lnz() - 2};
-    if (!adv_inner.empty()) {
-      obs::Span sp = comm_ctx_->tracer().span("interior", "compute");
-      eval_tendency(xi, adv_inner, Operator::kAdvection, false);
-      eta_.add_scaled(xi, dt2, tend_, adv_inner);
-    }
+  const mesh::Box adv_inner{0,
+                           decomp_.lnx(),
+                           split_north ? 4 : 0,
+                           split_south ? decomp_.lny() - 4 : decomp_.lny(),
+                           decomp_.at_model_top() ? 0 : 2,
+                           decomp_.at_surface() ? decomp_.lnz()
+                                                : decomp_.lnz() - 2};
+  if (!adv_inner.empty()) {
+    obs::Span sp = comm_ctx_->tracer().span("interior", "compute");
+    eval_tendency(xi, adv_inner, Operator::kAdvection, false);
+    eta_.add_scaled(xi, dt2, tend_, adv_inner);
   }
+  exchanger_.finish();
+  wrap_vert_x(ws_);
+  fill_boundaries(xi);
   const mesh::Box aw1 = extended_window(2, 2);
-  if (options_.overlap && config_.overlap_exchange) {
-    // Per-face drain (comm.overlap_exchange): each boundary sub-range
-    // completes only the in-flight faces its grown read footprint covers,
-    // re-wraps the vert-product x halos and re-fills the physical
-    // boundaries from the rows that just landed, then evaluates.  Any
-    // fill-derived cell still based on an unfinished face lies outside
-    // this sub-range's footprint and is rewritten by a later pass before
-    // being read, so the result is bitwise the drain-all path's.
-    obs::Span bsp = comm_ctx_->tracer().span("boundary", "compute");
-    for (const mesh::Box& b : ops::subtract_box(aw1, adv_inner)) {
-      exchanger_.finish_region(ops::grow_box(b, 4, 4, 3));
-      wrap_vert_x(ws_);
-      fill_boundaries(xi);
-      eval_tendency(xi, b, Operator::kAdvection, false);
-      eta_.add_scaled(xi, dt2, tend_, b);
-    }
-    exchanger_.finish();
-    wrap_vert_x(ws_);
-    fill_boundaries(xi);
-    bsp.finish();
-  } else {
-    exchanger_.finish();
-    wrap_vert_x(ws_);
-    fill_boundaries(xi);
-    if (options_.overlap) {
-      for (const mesh::Box& b : ops::subtract_box(aw1, adv_inner)) {
-        eval_tendency(xi, b, Operator::kAdvection, false);
-        eta_.add_scaled(xi, dt2, tend_, b);
-      }
-    } else {
-      eval_tendency(xi, aw1, Operator::kAdvection, false);
-      eta_.add_scaled(xi, dt2, tend_, aw1);
-    }
+  for (const mesh::Box& b : ops::subtract_box(aw1, adv_inner)) {
+    eval_tendency(xi, b, Operator::kAdvection, false);
+    eta_.add_scaled(xi, dt2, tend_, b);
   }
   carry_psa(xi, eta_);
   fill_boundaries(eta_);

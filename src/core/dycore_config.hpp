@@ -35,16 +35,6 @@ struct DycoreConfig {
   /// per-(neighbor, item) granularity is what the paper's message counts
   /// describe.  Both modes produce bitwise-identical halos.
   bool coalesce_exchange = false;
-  /// Overlap halo communication with computation (config key
-  /// comm.overlap_exchange, env CA_AGCM_COMM_OVERLAP_EXCHANGE): posts the
-  /// exchange at the start of a stencil pass, evaluates the halo-independent
-  /// interior while messages are in flight, then completes only the faces
-  /// each boundary sub-range reads.  Off by default so the paper's message
-  /// counts and the bitwise baselines stay the reference; on and off
-  /// produce bitwise-identical states (the interior/boundary split is an
-  /// exact partition of every update window).  Composes with
-  /// coalesce_exchange and with fault plans.
-  bool overlap_exchange = false;
 };
 
 /// Algorithm switches of the communication-avoiding core (see
@@ -56,12 +46,6 @@ struct CAOptions {
   /// (off = fresh C everywhere: 3 collectives per iteration, for the
   /// ablation benchmarks).
   bool approximate_iteration = true;
-  /// Split the exchange around the inner computation (off = blocking
-  /// exchange before any computation).
-  bool overlap = true;
-  /// Fuse the split smoothing into the adaptation exchange (off = a
-  /// separate exchange for the smoothing, like the original algorithm).
-  bool fuse_smoothing = true;
   /// Evaluate the fresh C collectives on the BLOCK face only (the paper's
   /// scheme: collective volume exactly 2/3 of the original; the extended
   /// windows' halo rows keep the exchanged stale C products, an error of

@@ -263,7 +263,7 @@ void HaloExchanger::post_coalesced(int nbr, int dx, int dy, int dz) {
 
 void HaloExchanger::begin(const std::vector<ExchangeItem>& items,
                           const std::string& phase) {
-  // Leftover in-flight receives (a post() whose finish() never ran) must
+  // Leftover in-flight receives (a begin() whose finish() never ran) must
   // drain before re-posting: the new round reuses the same (neighbor, tag)
   // triples and FIFO matching would pair old messages with new requests.
   if (!recvs_.empty()) finish();
@@ -312,7 +312,6 @@ void HaloExchanger::unpack(const PendingRecv& pr) {
 }
 
 void HaloExchanger::complete(PendingRecv& pr) {
-  if (pr.done) return;
   // The wait is bounded by the runtime's receive timeout (see
   // comm::RunOptions): a lost neighbor message surfaces as a typed
   // TimeoutError annotated with the exchange item instead of an infinite
@@ -337,57 +336,12 @@ void HaloExchanger::complete(PendingRecv& pr) {
   obs::Span unpack_span =
       ctx_->tracer().phase_span("exchange_unpack", "exchange", "exchange");
   unpack(pr);
-  pr.done = true;
-}
-
-bool HaloExchanger::seg_intersects(const UnpackSeg& seg,
-                                   const mesh::Box& region) const {
-  if (seg.is2d) {
-    return seg.i0 < region.i1 && region.i0 < seg.i1 && seg.j0 < region.j1 &&
-           region.j0 < seg.j1;
-  }
-  return mesh::intersects(seg.box3, region);
 }
 
 void HaloExchanger::finish() {
   for (auto& pr : recvs_) complete(pr);
   recvs_.clear();
   segs_.clear();
-}
-
-void HaloExchanger::finish_region(const mesh::Box& region) {
-  for (auto& pr : recvs_) {
-    if (pr.done) continue;
-    for (std::size_t s = pr.seg_begin; s < pr.seg_end; ++s) {
-      if (seg_intersects(segs_[s], region)) {
-        complete(pr);
-        break;
-      }
-    }
-  }
-}
-
-bool HaloExchanger::test() {
-  bool all = true;
-  for (auto& pr : recvs_) {
-    if (pr.done) continue;
-    if (ctx_->test(pr.request)) {
-      obs::Span span =
-          ctx_->tracer().phase_span("exchange_unpack", "exchange", "exchange");
-      unpack(pr);
-      pr.done = true;
-    } else {
-      all = false;
-    }
-  }
-  return all;
-}
-
-std::size_t HaloExchanger::pending_count() const {
-  std::size_t n = 0;
-  for (const auto& pr : recvs_)
-    if (!pr.done) ++n;
-  return n;
 }
 
 void HaloExchanger::exchange(const std::vector<ExchangeItem>& items,
@@ -404,16 +358,7 @@ void compute_diagnostics(const ops::OpContext& ctx, comm::Context* comm_ctx,
                          const std::string& phase) {
   ops::compute_local_diag(ctx, xi, window, ws);
   if (stale_vert) return;  // ws.vert keeps the last C's products
-  compute_vert_diagnostics(ctx, comm_ctx, line_z, xi, window, ws, alg, phase);
-}
 
-void compute_vert_diagnostics(const ops::OpContext& ctx,
-                              comm::Context* comm_ctx,
-                              const comm::Communicator* line_z,
-                              const state::State& xi, const mesh::Box& window,
-                              ops::DiagWorkspace& ws,
-                              comm::AllreduceAlgorithm alg,
-                              const std::string& phase) {
   const bool distributed = line_z != nullptr && line_z->size() > 1;
   if (!distributed) {
     ops::compute_vert_diag_serial(ctx, xi, window, ws);

@@ -60,35 +60,14 @@ class HaloExchanger {
   bool coalesce() const { return coalesce_; }
 
   /// Posts receives and sends for all items; returns immediately.  If a
-  /// previous post still has receives in flight they are drained first
+  /// previous round still has receives in flight they are drained first
   /// (re-posting onto the same (neighbor, tag) triples would break FIFO
   /// matching).
   void begin(const std::vector<ExchangeItem>& items,
              const std::string& phase);
-  /// Alias of begin() under the async post/test/finish vocabulary: posts
-  /// the round's sends and receives up front so later passes can complete
-  /// only the faces they consume.
-  void post(const std::vector<ExchangeItem>& items,
-            const std::string& phase) {
-    begin(items, phase);
-  }
-  /// Waits for every still-pending receive and unpacks it into the halos.
-  /// Receives already completed by test()/finish_region() are skipped, so
-  /// finish() after any interleaving — including a second finish(), which
-  /// is a no-op — is safe.
+  /// Waits for every posted receive and unpacks it into the halos; a
+  /// second finish() without a begin() in between is a no-op.
   void finish();
-  /// Completes (waits for + unpacks) only the pending receives whose halo
-  /// destination intersects `region` (local index coordinates, halo cells
-  /// included).  A boundary pass blocks only on the faces its read
-  /// footprint covers; everything else stays in flight.
-  void finish_region(const mesh::Box& region);
-  /// Nonblocking progress probe: unpacks every receive that has already
-  /// arrived and returns true when none remain in flight.  Under an
-  /// active FaultPlan each probe is one receive poll, so a test() loop
-  /// ages delayed messages and requests retransmission of dropped ones.
-  bool test();
-  /// Receives posted but not yet completed by test/finish_region/finish.
-  std::size_t pending_count() const;
   /// begin + finish.
   void exchange(const std::vector<ExchangeItem>& items,
                 const std::string& phase);
@@ -114,7 +93,6 @@ class HaloExchanger {
     std::span<double> buffer;  // view into recv_pool_
     std::size_t seg_begin = 0, seg_end = 0;  // range in segs_
     int nbr = -1;
-    bool done = false;  // completed (waited + unpacked) this round
   };
 
   /// Grabs the next pool slot resized to n doubles, recording whether the
@@ -130,13 +108,10 @@ class HaloExchanger {
   void post_coalesced(int nbr, int dx, int dy, int dz);
 
   /// Blocks on pr's message ("exchange_wait" phase) and unpacks it
-  /// ("exchange" phase); no-op when already done.
+  /// ("exchange" phase).
   void complete(PendingRecv& pr);
   /// Copies pr's message into the destination halo regions.
   void unpack(const PendingRecv& pr);
-  /// Whether any of pr's destination halo cells lie inside `region`
-  /// (2-D segments intersect on i/j only).
-  bool seg_intersects(const UnpackSeg& seg, const mesh::Box& region) const;
 
   comm::Context* ctx_;
   const comm::CartTopology* topo_;
@@ -162,20 +137,6 @@ void compute_diagnostics(const ops::OpContext& ctx, comm::Context* comm_ctx,
                          ops::DiagWorkspace& ws, bool stale_vert,
                          comm::AllreduceAlgorithm alg,
                          const std::string& phase);
-
-/// The vertical (C operator) half of compute_diagnostics on its own: the
-/// column partials plus the z-line allreduce + exscan and column finish.
-/// The overlap path uses this split — the pointwise LocalDiag part runs
-/// tile by tile as halo faces arrive, while the collectives MUST run
-/// exactly once per refresh on the full update window (every rank of
-/// line_z participates with the same ring).
-void compute_vert_diagnostics(const ops::OpContext& ctx,
-                              comm::Context* comm_ctx,
-                              const comm::Communicator* line_z,
-                              const state::State& xi, const mesh::Box& window,
-                              ops::DiagWorkspace& ws,
-                              comm::AllreduceAlgorithm alg,
-                              const std::string& phase);
 
 /// Gathers every rank's owned interior into one full-domain state on rank
 /// 0 of the topology's communicator (returned state is empty elsewhere).

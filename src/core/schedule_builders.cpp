@@ -302,7 +302,7 @@ perf::Schedule build_ca_schedule(const ScheduleParams& p,
     aitems.push_back(Item{0, depth_y, 0, false});     // sdot
     aitems.push_back(Item{0, depth_y, 0, false});     // w
     aitems.push_back(Item{0, depth_y, 0, false});     // phi_geo
-    if (p.ca.fuse_smoothing) {
+    if (p.fuse_smoothing) {
       // Depth 4: S2 recomputes the +-2 halo rows as complete canonical
       // folds, which read pre-smoothing rows out to +-4.
       aitems.push_back(Item{0, 4, 0, false});  // pre Phi (y only)
@@ -320,13 +320,13 @@ perf::Schedule build_ca_schedule(const ScheduleParams& p,
     for (int step = 0; step < p.steps; ++step) {
       // Former smoothing (S1), then the single deep exchange with the
       // inner eta1 computation overlapped.
-      if (p.ca.fuse_smoothing)
+      if (p.fuse_smoothing)
         s.add_compute(g.rank,
                       p.flops_smooth * static_cast<double>(
                                            window_volume(g, 0, 0)),
                       kPhaseCompute);
       const bool posted = emit_exchange_begin(s, g, aitems);
-      if (p.ca.overlap && inner_vol > 0)
+      if (p.overlap && inner_vol > 0)
         s.add_compute(g.rank,
                       (p.flops_adapt + p.flops_column) *
                           static_cast<double>(inner_vol),
@@ -338,7 +338,7 @@ perf::Schedule build_ca_schedule(const ScheduleParams& p,
         for (int sub = 0; sub < 3; ++sub, ++u) {
           const int e = 3 * M - 1 - u;
           long long vol = window_volume(g, e, 0);
-          if (iter == 0 && sub == 0 && p.ca.overlap)
+          if (iter == 0 && sub == 0 && p.overlap)
             vol = std::max<long long>(0, vol - inner_vol);
           s.add_compute(g.rank,
                         (p.flops_adapt + p.flops_column) *
@@ -358,7 +358,7 @@ perf::Schedule build_ca_schedule(const ScheduleParams& p,
       // Advection: one exchange, three updates on shrinking windows.
       const bool aposted = emit_exchange_begin(s, g, vitems);
       const long long adv_inner = window_volume(g, -4, -2);
-      if (p.ca.overlap && adv_inner > 0)
+      if (p.overlap && adv_inner > 0)
         s.add_compute(g.rank,
                       p.flops_advect * static_cast<double>(adv_inner),
                       kPhaseCompute);
@@ -366,7 +366,7 @@ perf::Schedule build_ca_schedule(const ScheduleParams& p,
       for (int sub = 0; sub < 3; ++sub) {
         const int e = 2 - sub;
         long long vol = window_volume(g, e, e);
-        if (sub == 0 && p.ca.overlap)
+        if (sub == 0 && p.overlap)
           vol = std::max<long long>(0, vol - adv_inner);
         s.add_compute(g.rank, p.flops_advect * static_cast<double>(vol),
                       kPhaseCompute);

@@ -31,8 +31,16 @@ struct ScheduleParams {
   double flops_advect = 200.0;
   double flops_smooth = 70.0;
   double flops_column = 25.0;
-  /// Emit the fused-smoothing / steady-state shape of the CA step.
+  /// The CA core's algorithm switches (approximate iteration, C faces).
   CAOptions ca;
+  /// Overlap the CA exchanges with the inner computation (off = blocking
+  /// exchange before any computation).  Modeled only: the functional CA
+  /// core always overlaps.
+  bool overlap = true;
+  /// Fuse the split smoothing into the CA adaptation exchange (off = a
+  /// separate smoothing exchange, like the original algorithm).  Modeled
+  /// only: the functional CA core always fuses.
+  bool fuse_smoothing = true;
 };
 
 /// Phase labels used by the builders (matched by the figure benches).

@@ -314,6 +314,85 @@ TEST(Campaign, CAPreemptedAtEveryCheckpointIsBitwise) {
          "uninterrupted run bit for bit";
 }
 
+TEST(Campaign, CAWithForcingPreemptedAndResumedIsBitwise) {
+  // Held-Suarez forcing writes the interior only, after the step's last
+  // boundary fill.  The next CA step's former smoothing reads the
+  // periodic-x and pole halos, so the core must refill them from the
+  // forced interior itself: a resumed run refills them in refresh_halos,
+  // and the uninterrupted run has to read the same values.
+  const auto c = cfg();
+  const auto prefix = (std::filesystem::temp_directory_path() /
+                       "ca_agcm_campaign_ca_forced_resume")
+                          .string();
+  constexpr int kSteps = 8;
+  constexpr int kYieldStep = 4;
+  state::State straight, resumed;
+
+  comm::Runtime::run(2, [&](comm::Context& ctx) {
+    CACore core(c, ctx, {1, 2, 1});
+    physics::HeldSuarezForcing forcing(core.op_context());
+    auto xi = core.make_state();
+    core.initialize(xi, {.kind = state::InitialCondition::kPlanetaryWave});
+    CampaignOptions all;
+    all.steps = kSteps;
+    all.forcing = &forcing;
+    EXPECT_EQ(run_campaign(core, &ctx, xi, all), kSteps);
+    core.finalize(xi);
+    auto g = gather_global(core.op_context(), ctx, core.topology(), xi);
+    if (ctx.world_rank() == 0) straight = std::move(g);
+  });
+
+  comm::Runtime::run(2, [&](comm::Context& ctx) {
+    const mesh::LatLonMesh mesh(c.nx, c.ny, c.nz);
+    {
+      CACore core(c, ctx, {1, 2, 1});
+      physics::HeldSuarezForcing forcing(core.op_context());
+      auto xi = core.make_state();
+      core.initialize(xi,
+                      {.kind = state::InitialCondition::kPlanetaryWave});
+      CampaignOptions first;
+      first.steps = kSteps;
+      first.forcing = &forcing;
+      first.checkpoint_every = 2;
+      first.checkpoint_prefix = prefix;
+      int step_seen = 0;
+      first.on_step = [&](int i) { step_seen = i + 1; };
+      first.should_yield = [&] { return step_seen >= kYieldStep; };
+      EXPECT_EQ(run_campaign(core, &ctx, xi, first), kYieldStep);
+    }
+    CACore core(c, ctx, {1, 2, 1});
+    physics::HeldSuarezForcing forcing(core.op_context());
+    auto xi = core.make_state();
+    std::vector<std::byte> carry;
+    const auto hdr = util::read_checkpoint(
+        util::checkpoint_path(prefix, ctx.world_rank()), mesh, core.decomp(),
+        xi, &carry);
+    EXPECT_EQ(hdr.step, kYieldStep);
+    util::CarryReader r(carry);
+    core.restore_carry(r);
+    core.refresh_halos(xi, "restart");
+    CampaignOptions rest;
+    rest.steps = kSteps;
+    rest.start_step = static_cast<int>(hdr.step);
+    rest.start_time_seconds = hdr.time_seconds;
+    rest.forcing = &forcing;
+    rest.checkpoint_every = 2;
+    rest.checkpoint_prefix = prefix;
+    EXPECT_EQ(run_campaign(core, &ctx, xi, rest), kSteps - kYieldStep);
+    core.finalize(xi);
+    auto g = gather_global(core.op_context(), ctx, core.topology(), xi);
+    if (ctx.world_rank() == 0) resumed = std::move(g);
+    std::remove(util::checkpoint_path(prefix, ctx.world_rank()).c_str());
+  });
+
+  ASSERT_GT(straight.interior().volume(), 0);
+  EXPECT_EQ(
+      state::State::max_abs_diff(straight, resumed, straight.interior()),
+      0.0)
+      << "a forced CA campaign resumed from its checkpoint must reproduce "
+         "the uninterrupted run bit for bit";
+}
+
 TEST(Campaign, CheckpointBarrierRunsAtEveryCheckpoint) {
   // The yield allreduce doubles as the consistency barrier that keeps a
   // rank death from producing a mixed-step checkpoint set (survivors

@@ -182,63 +182,6 @@ INSTANTIATE_TEST_SUITE_P(Decomps, CAEquivalence,
                            return i.param.name;
                          });
 
-TEST(CAEquivalenceOptions, OverlapOnOffIdentical) {
-  // The inner/outer split must not change any value: inner points never
-  // read data the later smoothing or the exchange modifies.
-  const DycoreConfig cfg = test_config();
-  constexpr int kSteps = 2;
-  const auto ic = state::InitialCondition::kPlanetaryWave;
-  state::State with_overlap, without_overlap;
-  for (bool overlap : {true, false}) {
-    comm::Runtime::run(2, [&](comm::Context& ctx) {
-      CAOptions opts;
-      opts.overlap = overlap;
-      CACore core(cfg, ctx, {1, 2, 1}, opts);  // paper mode: overlap is
-                                               // still a pure reordering
-      auto xi = core.make_state();
-      state::InitialOptions opt;
-      opt.kind = ic;
-      core.initialize(xi, opt);
-      core.run(xi, kSteps);
-      auto global =
-          gather_global(core.op_context(), ctx, core.topology(), xi);
-      if (ctx.world_rank() == 0)
-        (overlap ? with_overlap : without_overlap) = std::move(global);
-    });
-  }
-  const double diff = state::State::max_abs_diff(
-      with_overlap, without_overlap, with_overlap.interior());
-  EXPECT_EQ(diff, 0.0) << "overlap must be a pure scheduling change";
-}
-
-TEST(CAEquivalenceOptions, FusedSmoothingMatchesSeparate) {
-  // S2 ∘ S1 == S: fusing the smoothing exchange must not change results
-  // beyond floating-point reassociation.
-  const DycoreConfig cfg = test_config();
-  constexpr int kSteps = 3;
-  const auto ic = state::InitialCondition::kPlanetaryWave;
-  state::State fused, separate;
-  for (bool fuse : {true, false}) {
-    comm::Runtime::run(2, [&](comm::Context& ctx) {
-      CAOptions opts;
-      opts.fuse_smoothing = fuse;
-      CACore core(cfg, ctx, {1, 2, 1}, opts);
-      auto xi = core.make_state();
-      state::InitialOptions opt;
-      opt.kind = ic;
-      core.initialize(xi, opt);
-      core.run(xi, kSteps);
-      auto global =
-          gather_global(core.op_context(), ctx, core.topology(), xi);
-      if (ctx.world_rank() == 0)
-        (fuse ? fused : separate) = std::move(global);
-    });
-  }
-  const double diff =
-      state::State::max_abs_diff(fused, separate, fused.interior());
-  EXPECT_LT(diff, 1e-9) << "split smoothing must equal full smoothing";
-}
-
 TEST(CAvsOriginal, ApproximationErrorIsSmallAndConverges) {
   // The approximate nonlinear iteration perturbs the solution at high
   // order in dt1: halving dt1 (and the step counts accordingly) must

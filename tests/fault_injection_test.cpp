@@ -17,6 +17,7 @@
 #include "comm/runtime.hpp"
 #include "core/ca_core.hpp"
 #include "core/exchange.hpp"
+#include "core/original_core.hpp"
 #include "perf/report.hpp"
 #include "util/config.hpp"
 
@@ -224,6 +225,56 @@ TEST(FaultInjection, DropDetectedAsTimeoutWhenRetriesDisabled) {
   EXPECT_EQ(s.recovered_drop, 0u);
 }
 
+// --- core runs under a fault plan -------------------------------------------
+
+namespace {
+
+core::DycoreConfig chaos_config() {
+  core::DycoreConfig c;
+  c.nx = 24;
+  c.ny = 16;
+  c.nz = 8;
+  c.M = 2;
+  c.dt_adapt = 30.0;
+  c.dt_advect = 120.0;
+  c.z_allreduce = AllreduceAlgorithm::kLinearOrdered;
+  return c;
+}
+
+enum class CoreKind { kOriginal, kCA };
+
+/// Runs the CA core, or the original core under the Y-Z scheme, for
+/// `steps` on `dims` ranks under `opts` and returns the gathered global
+/// state (valid on the caller).
+state::State run_core(CoreKind kind, const core::DycoreConfig& cfg,
+                      std::array<int, 3> dims, int steps,
+                      const RunOptions& opts) {
+  state::State global;
+  const int p = dims[0] * dims[1] * dims[2];
+  Runtime::run(p, opts, [&](Context& ctx) {
+    auto drive = [&](auto& core) {
+      auto xi = core.make_state();
+      state::InitialOptions init;
+      init.kind = state::InitialCondition::kPlanetaryWave;
+      core.initialize(xi, init);
+      core.run(xi, steps);
+      state::State g =
+          core::gather_global(core.op_context(), ctx, core.topology(), xi);
+      if (ctx.world_rank() == 0) global = std::move(g);
+    };
+    if (kind == CoreKind::kCA) {
+      core::CACore core(cfg, ctx, dims);
+      drive(core);
+    } else {
+      core::OriginalCore core(cfg, ctx, core::DecompScheme::kYZ, dims);
+      drive(core);
+    }
+  });
+  return global;
+}
+
+}  // namespace
+
 // --- corrupt: detected via the payload checksum ----------------------------
 
 TEST(FaultInjection, CorruptDetectedByChecksum) {
@@ -249,6 +300,25 @@ TEST(FaultInjection, CorruptDetectedByChecksum) {
   const auto s = plan.summary();
   EXPECT_EQ(s.injected_corrupt, 1u);
   EXPECT_EQ(s.detected_checksum, 1u);
+
+  // The same fault against the CA core's deep-halo round: scoped to the
+  // halo exchanges, it corrupts the messages of the round the core has
+  // begun, and finish() must surface the typed error, never unpack the
+  // payload or hang.  The short deadline bounds a rank left waiting on a
+  // peer that already failed.
+  FaultPlan ca_plan(37);
+  FaultRule ca_rule = rule(FaultKind::kCorrupt, 1.0, 1);
+  ca_rule.phase = "stencil";
+  ca_plan.add_rule(ca_rule);
+  RunOptions ca_opts;
+  ca_opts.faults = &ca_plan;
+  ca_opts.recv_timeout = std::chrono::milliseconds(2000);
+  const auto ca_start = Clock::now();
+  EXPECT_THROW(
+      run_core(CoreKind::kCA, chaos_config(), {1, 2, 1}, 2, ca_opts),
+      ChecksumError);
+  EXPECT_LT(elapsed_seconds(ca_start), kWallClockBound);
+  EXPECT_GE(ca_plan.summary().detected_checksum, 1u);
 }
 
 // --- stall: detected by the peer's bounded wait, recovered under a
@@ -309,67 +379,36 @@ TEST(FaultInjection, StallRecoversUnderGenerousTimeout) {
   EXPECT_EQ(s.detected_total(), 0u);
 }
 
-// --- bit-for-bit recovery of the CA core under recoverable faults ----------
-
-namespace {
-
-core::DycoreConfig chaos_config() {
-  core::DycoreConfig c;
-  c.nx = 24;
-  c.ny = 16;
-  c.nz = 8;
-  c.M = 2;
-  c.dt_adapt = 30.0;
-  c.dt_advect = 120.0;
-  c.z_allreduce = AllreduceAlgorithm::kLinearOrdered;
-  return c;
-}
-
-/// Runs the CA core for `steps` on `dims` ranks under `opts` and returns
-/// the gathered global state (valid on the caller).
-state::State run_ca(const core::DycoreConfig& cfg, std::array<int, 3> dims,
-                    int steps, const RunOptions& opts) {
-  state::State global;
-  const int p = dims[0] * dims[1] * dims[2];
-  Runtime::run(p, opts, [&](Context& ctx) {
-    core::CACore core(cfg, ctx, dims);
-    auto xi = core.make_state();
-    state::InitialOptions init;
-    init.kind = state::InitialCondition::kPlanetaryWave;
-    core.initialize(xi, init);
-    core.run(xi, steps);
-    state::State g =
-        core::gather_global(core.op_context(), ctx, core.topology(), xi);
-    if (ctx.world_rank() == 0) global = std::move(g);
-  });
-  return global;
-}
-
-}  // namespace
-
-TEST(FaultInjection, CACoreRecoversBitForBitFromRecoverableFaults) {
+TEST(FaultInjection, CoresRecoverBitForBitFromRecoverableFaults) {
+  // The CA core's two overlapped rounds per step and the original core's
+  // 3M + 4 blocking rounds, both under drop/duplicate/delay.
   const auto cfg = chaos_config();
   const std::array<int, 3> dims{1, 2, 2};
   constexpr int kSteps = 2;
 
-  const state::State reference = run_ca(cfg, dims, kSteps, RunOptions{});
+  for (CoreKind kind : {CoreKind::kCA, CoreKind::kOriginal}) {
+    SCOPED_TRACE(kind == CoreKind::kCA ? "CA core" : "original core");
+    const state::State reference =
+        run_core(kind, cfg, dims, kSteps, RunOptions{});
 
-  FaultPlan plan(4242);
-  plan.add_rule(rule(FaultKind::kDrop, 0.08));
-  plan.add_rule(rule(FaultKind::kDuplicate, 0.08));
-  plan.add_rule(rule(FaultKind::kDelay, 0.08, 2));
-  RunOptions opts;
-  opts.faults = &plan;
-  const auto start = Clock::now();
-  const state::State chaos = run_ca(cfg, dims, kSteps, opts);
-  EXPECT_LT(elapsed_seconds(start), kWallClockBound);
+    FaultPlan plan(4242);
+    plan.add_rule(rule(FaultKind::kDrop, 0.08));
+    plan.add_rule(rule(FaultKind::kDuplicate, 0.08));
+    plan.add_rule(rule(FaultKind::kDelay, 0.08, 2));
+    RunOptions opts;
+    opts.faults = &plan;
+    const auto start = Clock::now();
+    const state::State chaos = run_core(kind, cfg, dims, kSteps, opts);
+    EXPECT_LT(elapsed_seconds(start), kWallClockBound);
 
-  const auto s = plan.summary();
-  EXPECT_GT(s.injected_total(), 0u) << "plan injected nothing; test is vacuous";
-  EXPECT_EQ(s.detected_total(), 0u);
-  const double diff =
-      state::State::max_abs_diff(chaos, reference, reference.interior());
-  EXPECT_EQ(diff, 0.0) << "recovery was not bit-for-bit";
+    const auto s = plan.summary();
+    EXPECT_GT(s.injected_total(), 0u)
+        << "plan injected nothing; test is vacuous";
+    EXPECT_EQ(s.detected_total(), 0u);
+    const double diff =
+        state::State::max_abs_diff(chaos, reference, reference.interior());
+    EXPECT_EQ(diff, 0.0) << "recovery was not bit-for-bit";
+  }
 }
 
 TEST(FaultInjection, FaultSummaryReportRendersCounters) {

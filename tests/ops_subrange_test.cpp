@@ -1,8 +1,8 @@
-// Sub-range window arithmetic (ops/subrange.hpp) and the property the
-// overlap path rests on: for every split stencil kernel, evaluating the
-// interior box plus the boundary boxes composes bitwise to the one-shot
-// full-window evaluation, for randomized shrink extents including the
-// degenerate empty-interior and full-interior cases.
+// Sub-range window arithmetic (ops/subrange.hpp) and the property the CA
+// core's inner/outer split rests on: for every split stencil kernel,
+// evaluating the interior box plus the boundary boxes composes bitwise to
+// the one-shot full-window evaluation, for randomized shrink extents
+// including the degenerate empty-interior and full-interior cases.
 #include <gtest/gtest.h>
 
 #include <random>
@@ -85,24 +85,6 @@ TEST(Subrange, SubtractBoxDegenerateCases) {
   EXPECT_TRUE(ops::subtract_box(w, w).empty());
 }
 
-TEST(Subrange, ShrinkWindowCollapsesToCanonicalEmpty) {
-  const Box w{0, 8, 0, 6, 0, 4};
-  const Box inner = ops::shrink_window(w, 2, 1, 1);
-  EXPECT_EQ(inner, (Box{2, 6, 1, 5, 1, 3}));
-  EXPECT_EQ(ops::shrink_window(w, 0, 0, 0), w);
-  // Over-shrinking yields the canonical empty box at the window origin,
-  // which subtract_box then treats as "no interior".
-  const Box empty = ops::shrink_window(w, 4, 1, 1);
-  EXPECT_TRUE(empty.empty());
-  EXPECT_EQ(ops::subtract_box(w, empty).size(), 1u);
-}
-
-TEST(Subrange, GrowBoxIsShrinkInverseOnContainedBoxes) {
-  const Box b{2, 6, 1, 5, 1, 3};
-  EXPECT_EQ(ops::grow_box(b, 2, 1, 1), (Box{0, 8, 0, 6, 0, 4}));
-  EXPECT_EQ(ops::grow_box(b, 0, 0, 0), b);
-}
-
 // --- kernel composition: interior + boundary == full window, bitwise ----
 
 DycoreConfig test_config() {
@@ -133,9 +115,11 @@ struct Fixture {
 };
 
 /// Tiles for a given shrink: the interior (when nonempty) plus the
-/// deterministic boundary boxes.
+/// deterministic boundary boxes.  An over-shrunk interior is empty, which
+/// subtract_box treats as "no interior".
 std::vector<Box> tiles_for(const Box& window, int sx, int sy, int sz) {
-  const Box inner = ops::shrink_window(window, sx, sy, sz);
+  const Box inner{window.i0 + sx, window.i1 - sx, window.j0 + sy,
+                  window.j1 - sy, window.k0 + sz, window.k1 - sz};
   std::vector<Box> tiles;
   if (!inner.empty()) tiles.push_back(inner);
   for (const Box& b : ops::subtract_box(window, inner)) tiles.push_back(b);

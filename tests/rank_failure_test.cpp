@@ -123,7 +123,7 @@ TEST(RankFailureComm, HungRankDetectedWithinHeartbeatTimeout) {
 }
 
 TEST(RankFailureComm, KilledRankUnwindsInFlightAsyncPosts) {
-  // kill_rank fires while the victim's async halo posts are in flight:
+  // kill_rank fires while the victim's begun halo round is in flight:
   // the survivor must unwind out of finish() with the typed error within
   // the heartbeat window, not block on the never-arriving faces until
   // the receive deadline.
@@ -149,7 +149,7 @@ TEST(RankFailureComm, KilledRankUnwindsInFlightAsyncPosts) {
                            std::vector<core::ExchangeItem> items{
                                {&f, nullptr, 0, 2, 1}};
                            for (int step = 0; step < 3; ++step) {
-                             ex.post(items, "stencil");
+                             ex.begin(items, "stencil");
                              ctx.notify_step();  // rank 0 dies at step 1,
                                                  // posts still in flight
                              ex.finish();
