@@ -58,8 +58,9 @@ struct CampaignOptions {
   std::function<bool()> should_yield;
   /// Called before each step with the attempt-local 0-based step index
   /// (the same counter Context::notify_step keeps for distributed runs).
-  /// Serial cores have no Context, so this is where the service's runner
-  /// injects process-level faults (kill/hang) into serial campaigns.
+  /// The serial core has no Context of its own, so the service's runner
+  /// calls notify_step from here: kill/hang faults and heartbeats then
+  /// reach serial campaigns the same way they reach the other cores.
   std::function<void(int step_index)> on_step;
   /// Called right after each step (and its forcing) with the same
   /// attempt-local index and MUTABLE state: the hook the service's runner

@@ -22,11 +22,12 @@ std::string fmt(double v) {
 
 }  // namespace
 
-HealthOptions HealthOptions::from_config(const util::Config& cfg) {
+HealthOptions HealthOptions::from_config(const util::Config& cfg,
+                                         const HealthOptions& base) {
   // Full keys, not cfg.subset("health."): the CA_AGCM_HEALTH_* env
   // overrides resolve against the full dotted name.
-  HealthOptions o;
-  o.cadence = cfg.get_int("health.cadence", 1);
+  HealthOptions o = base;
+  o.cadence = cfg.get_int("health.cadence", o.cadence);
   o.max_wind = cfg.get_double("health.max_wind", o.max_wind);
   o.max_phi = cfg.get_double("health.max_phi", o.max_phi);
   o.max_psa = cfg.get_double("health.max_psa", o.max_psa);
@@ -36,6 +37,10 @@ HealthOptions HealthOptions::from_config(const util::Config& cfg) {
       cfg.get_double("health.max_mass_growth", o.max_mass_growth);
   o.growth_warmup = cfg.get_int("health.growth_warmup", o.growth_warmup);
   return o;
+}
+
+HealthOptions HealthOptions::from_config(const util::Config& cfg) {
+  return from_config(cfg, {.cadence = 1});
 }
 
 std::string HealthSentinel::check_static(const HealthOptions& opts,

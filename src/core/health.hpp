@@ -85,9 +85,11 @@ struct HealthOptions {
 
   /// Reads health.cadence / max_wind / max_phi / max_psa /
   /// max_energy_growth / max_mass_growth / growth_warmup (each with the
-  /// usual CA_AGCM_* environment override).  The cadence default here is
-  /// 1 — "on" — the service-facing default; campaign users opt in
-  /// explicitly.
+  /// usual CA_AGCM_* environment override) on top of `base`; absent keys
+  /// keep base's values.  The one-argument form's base has cadence 1 —
+  /// "on" — the service-facing default; campaign users opt in explicitly.
+  static HealthOptions from_config(const util::Config& cfg,
+                                   const HealthOptions& base);
   static HealthOptions from_config(const util::Config& cfg);
 };
 

@@ -1,8 +1,8 @@
 // Executes ONE attempt of a job on the calling worker thread: spins up a
-// comm::Runtime rank group sized to the job's decomposition (serial jobs
-// run in-thread), restores the job's checkpoint when resuming, drives the
-// campaign loop, and gathers the final global state plus per-attempt comm
-// metrics.  Failure (a detected fault, a timeout, any exception out of
+// comm::Runtime rank group sized to the job's decomposition (a serial job
+// is a one-rank group, so every core shares one restore path), restores
+// the job's checkpoint when resuming, drives the campaign loop, and
+// gathers the final global state plus per-attempt comm metrics.  Failure (a detected fault, a timeout, any exception out of
 // the rank group) is reported as an error string, never thrown — the
 // WorkerPool's retry logic decides what happens next.
 #pragma once
@@ -102,9 +102,8 @@ struct AttemptOptions {
   /// Dirty-diff granularity for delta checkpoints [bytes].
   std::size_t delta_block_bytes = 4096;
   /// Observability of the attempt's rank group: span recording / flight
-  /// recorder knobs forwarded into comm::RunOptions (distributed jobs)
-  /// or a local Tracer (serial jobs).  Env overrides (CA_AGCM_OBS_*)
-  /// still apply on top inside the rank group.
+  /// recorder knobs forwarded into comm::RunOptions.  Env overrides
+  /// (CA_AGCM_OBS_*) still apply on top inside the rank group.
   obs::TraceOptions obs{};
   /// Non-null receives every rank's span stream for a merged Chrome
   /// trace; must outlive the attempt (the pool owns it).

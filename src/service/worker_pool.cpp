@@ -92,16 +92,7 @@ WorkerPool::WorkerPool(const PoolOptions& options)
         env.get_int("service.delta_chain", options_.delta_chain);
     // The sentinel knobs too (CA_AGCM_HEALTH_*): the CI chaos legs flip
     // cadence/bounds for pools built directly from PoolOptions.
-    auto& h = options_.health;
-    h.cadence = env.get_int("health.cadence", h.cadence);
-    h.max_wind = env.get_double("health.max_wind", h.max_wind);
-    h.max_phi = env.get_double("health.max_phi", h.max_phi);
-    h.max_psa = env.get_double("health.max_psa", h.max_psa);
-    h.max_energy_growth =
-        env.get_double("health.max_energy_growth", h.max_energy_growth);
-    h.max_mass_growth =
-        env.get_double("health.max_mass_growth", h.max_mass_growth);
-    h.growth_warmup = env.get_int("health.growth_warmup", h.growth_warmup);
+    options_.health = core::HealthOptions::from_config(env, options_.health);
     options_.numeric_retry =
         env.get_int("service.numeric_retry", options_.numeric_retry);
   }
@@ -511,10 +502,13 @@ std::string WorkerPool::refit_job(Job& job, int target) {
   return {};
 }
 
-void WorkerPool::fail_job(Job& job, const std::string& error) {
-  job.error = error;
-  job.state = JobState::kFailed;
-  metrics_.counter("service.jobs_failed").add(1);
+void WorkerPool::finish_job(Job& job, JobState state) {
+  job.state = state;
+  metrics_
+      .counter(state == JobState::kCompleted ? "service.jobs_completed"
+                                             : "service.jobs_failed")
+      .add(1);
+  // Terminal jobs never resume; release their RAM images.
   if (!job.checkpoint_prefix.empty())
     replicas_.erase_prefix(job.checkpoint_prefix);
   if (job.metrics.run_seconds > 0.0)
@@ -532,10 +526,12 @@ void WorkerPool::handle_shrunken_budget() {
   auto evicted = scheduler_.remove_over_demand(usable);
   for (auto& j : evicted) {
     const std::string err = refit_job(*j, usable);
-    if (err.empty())
+    if (err.empty()) {
       scheduler_.push(std::move(j));
-    else
-      fail_job(*j, err);
+    } else {
+      j->error = err;
+      finish_job(*j, JobState::kFailed);
+    }
   }
 }
 
@@ -548,7 +544,8 @@ bool WorkerPool::push_job_checked(const std::shared_ptr<Job>& job) {
   if (ranks_retired_ > 0 && job->ranks() > usable_rank_count()) {
     const std::string err = refit_job(*job, usable_rank_count());
     if (!err.empty()) {
-      fail_job(*job, err);
+      job->error = err;
+      finish_job(*job, JobState::kFailed);
       return false;
     }
   }
@@ -795,7 +792,6 @@ void WorkerPool::execute(const std::shared_ptr<Job>& job) {
   add_summary(job->faults, out.faults);
 
   const auto now = Clock::now();
-  bool terminal = false;
   if (out.dead_rank >= 0) {
     // A rank died (killed) or went silent past the heartbeat.  That is
     // the pool's hardware failing, not the job: quarantine the backing
@@ -814,8 +810,7 @@ void WorkerPool::execute(const std::shared_ptr<Job>& job) {
                     1;
     job->error = out.error;
     if (job->metrics.rank_recoveries >= cap) {
-      job->state = JobState::kFailed;
-      terminal = true;
+      finish_job(*job, JobState::kFailed);
     } else {
       ++jobs_recovered_;
       ++job->metrics.rank_recoveries;
@@ -827,21 +822,11 @@ void WorkerPool::execute(const std::shared_ptr<Job>& job) {
       // The pop path will ++attempts again; a rank death must not burn
       // the job's own attempt budget.
       --job->metrics.attempts;
-      std::string err;
-      if (job->ranks() > usable_rank_count())
-        err = refit_job(*job, usable_rank_count());
-      if (!err.empty()) {
-        job->error = err;
-        job->state = JobState::kFailed;
-        terminal = true;
-      } else {
-        job->state = JobState::kBackoff;
-        job->ready_at = now;  // no backoff: the faulty rank sits out, not
-                              // the job
-        job->last_queued_at = now;
-        job->dispatch_mark = dispatches_;
-        scheduler_.push(job);
-      }
+      job->state = JobState::kBackoff;
+      job->ready_at = now;  // no backoff: the faulty rank sits out, not
+                            // the job
+      job->last_queued_at = now;
+      push_job_checked(job);
     }
   } else if (out.numeric) {
     // The health sentinel aborted the attempt (NaN/Inf, runaway field or
@@ -867,8 +852,7 @@ void WorkerPool::execute(const std::shared_ptr<Job>& job) {
     tracer_.dump_flight("numeric incident: job " + std::to_string(job->id) +
                         " '" + job->spec.name + "': " + out.error);
     if (job->metrics.numeric_rollbacks > options_.numeric_retry) {
-      job->state = JobState::kFailed;
-      terminal = true;
+      finish_job(*job, JobState::kFailed);
       metrics_.counter("service.numeric_retry_exhausted").add(1);
       tracer_.instant("numeric_retry_exhausted", "service",
                       "job " + std::to_string(job->id) + " failed after " +
@@ -883,7 +867,6 @@ void WorkerPool::execute(const std::shared_ptr<Job>& job) {
       job->state = JobState::kBackoff;
       job->ready_at = now;
       job->last_queued_at = now;
-      job->dispatch_mark = dispatches_;
       push_job_checked(job);
     }
   } else if (!out.error.empty()) {
@@ -908,8 +891,7 @@ void WorkerPool::execute(const std::shared_ptr<Job>& job) {
       // failed attempt checkpointed mid-run before dying.
       push_job_checked(job);
     } else {
-      job->state = JobState::kFailed;
-      terminal = true;
+      finish_job(*job, JobState::kFailed);
       // Retry budget exhausted: a terminal failure the operator will want
       // a postmortem for.  The scheduler ring holds the service-side story
       // (dispatches, retries, quarantines leading up to it).
@@ -938,26 +920,8 @@ void WorkerPool::execute(const std::shared_ptr<Job>& job) {
   } else {
     job->steps_done = out.end_step;
     job->final_state = std::move(out.global);
-    job->state = JobState::kCompleted;
     job->error.clear();
-    terminal = true;
-  }
-
-  if (terminal) {
-    metrics_
-        .counter(job->state == JobState::kCompleted ? "service.jobs_completed"
-                                                    : "service.jobs_failed")
-        .add(1);
-    // Terminal jobs never resume; release their RAM images.
-    replicas_.erase_prefix(job->checkpoint_prefix);
-    if (job->metrics.run_seconds > 0.0)
-      job->metrics.steps_per_second =
-          job->steps_done / job->metrics.run_seconds;
-    if (job->spec.deadline_seconds > 0.0)
-      job->metrics.deadline_missed =
-          seconds_between(job->submitted_at, now) > job->spec.deadline_seconds;
-    --in_flight_;
-    done_cv_.notify_all();
+    finish_job(*job, JobState::kCompleted);
   }
   update_gauges();
   work_cv_.notify_all();

@@ -234,10 +234,12 @@ class WorkerPool {
   /// reshaped (or failed) BEFORE it is queued — otherwise it would wait
   /// forever for capacity that cannot return, wedging drain()/shutdown().
   /// Returns false when the job was terminally failed instead of queued
-  /// (fail_job has then already done the in_flight_ bookkeeping).
+  /// (finish_job has then already done the in_flight_ bookkeeping).
   bool push_job_checked(const std::shared_ptr<Job>& job);
-  /// Under lock: mark a job failed and notify (caller handles in_flight_).
-  void fail_job(Job& job, const std::string& error);
+  /// Under lock: the one terminal transition (kCompleted or kFailed):
+  /// counts it, releases the job's RAM replicas, closes its rate and
+  /// deadline metrics, drops in_flight_ and wakes waiters.
+  void finish_job(Job& job, JobState state);
   /// Under lock: refresh the live service.queue_depth / service.free_ranks
   /// gauges; called wherever the queue or the rank budget changes.
   void update_gauges();

@@ -13,7 +13,9 @@
 #include <cmath>
 #include <cstddef>
 #include <filesystem>
+#include <fstream>
 #include <limits>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -25,6 +27,7 @@
 #include "service/service.hpp"
 #include "state/state.hpp"
 #include "util/checkpoint.hpp"
+#include "util/json.hpp"
 
 namespace ca::service {
 namespace {
@@ -186,30 +189,54 @@ TEST(HealthSentinel, StaticChecksCatchNonFiniteAndBounds) {
 
 TEST(NumericHealth, DetectionWithinTheSentinelCadence) {
   const PinnedHealthEnv pinned;
-  const std::string dir = temp_dir("latency");
+  struct Case {
+    const char* tag;
+    CoreKind core;
+    std::array<int, 3> dims;
+  };
+  for (const Case& c : {Case{"serial", CoreKind::kSerial, {1, 1, 1}},
+                        Case{"original", CoreKind::kOriginal, {1, 2, 1}}}) {
+    SCOPED_TRACE(c.tag);
+    const std::string dir = temp_dir((std::string("latency_") + c.tag).c_str());
 
-  JobSpec spec;
-  spec.name = "latency";
-  spec.core = CoreKind::kSerial;
-  spec.config = health_config();
-  spec.steps = 9;
-  // Poke after 0-based step index 3 = absolute step 4.
-  spec.faults = poison_plan(/*field=*/0, /*mode=*/0, /*step_idx=*/3);
+    JobSpec spec;
+    spec.name = "latency";
+    spec.core = c.core;
+    spec.dims = c.dims;
+    spec.config = health_config();
+    spec.steps = 9;
+    // Poke after 0-based step index 3 = absolute step 4.
+    spec.faults = poison_plan(/*field=*/0, /*mode=*/0, /*step_idx=*/3);
 
-  AttemptOptions o;
-  o.attempt = 1;
-  o.checkpoint_prefix = dir + "/latency";
-  o.health.cadence = 3;  // checks at absolute steps 3, 6, 9
-  const AttemptResult r = run_attempt(spec, o);
+    AttemptOptions o;
+    o.attempt = 1;
+    o.checkpoint_prefix = dir + "/latency";
+    o.health.cadence = 3;  // checks at absolute steps 3, 6, 9
+    o.obs.dump_dir = dir;
+    const AttemptResult r = run_attempt(spec, o);
 
-  ASSERT_TRUE(r.numeric) << "sentinel never tripped: " << r.error;
-  EXPECT_NE(r.error.find("non-finite"), std::string::npos) << r.error;
-  const int corrupted_at = 4;
-  EXPECT_GE(r.numeric_step, corrupted_at);
-  EXPECT_LE(r.numeric_step, corrupted_at + o.health.cadence)
-      << "detection latency exceeded the cadence guarantee";
-  EXPECT_EQ(r.numeric_step, 6);  // the first check after the poke
-  EXPECT_GE(r.faults.injected_state_corrupt, 1u);
+    ASSERT_TRUE(r.numeric) << "sentinel never tripped: " << r.error;
+    EXPECT_NE(r.error.find("non-finite"), std::string::npos) << r.error;
+    const int corrupted_at = 4;
+    EXPECT_GE(r.numeric_step, corrupted_at);
+    EXPECT_LE(r.numeric_step, corrupted_at + o.health.cadence)
+        << "detection latency exceeded the cadence guarantee";
+    EXPECT_EQ(r.numeric_step, 6);  // the first check after the poke
+    EXPECT_GE(r.faults.injected_state_corrupt, 1u);
+
+    // Every rank leaves a flight dump of the incident, named by the
+    // sentinel's verdict (the same on every rank).
+    for (int rank = 0; rank < c.dims[0] * c.dims[1] * c.dims[2]; ++rank) {
+      std::ifstream in(dir + "/obs_dump_rank" + std::to_string(rank) +
+                       ".json");
+      ASSERT_TRUE(in.good()) << "rank " << rank << " left no flight dump";
+      std::stringstream ss;
+      ss << in.rdbuf();
+      const util::Json doc = util::Json::parse(ss.str());
+      EXPECT_EQ(doc.find("reason")->as_string(), r.error)
+          << "rank " << rank;
+    }
+  }
 }
 
 TEST(NumericHealth, PoisonedStateIsNeverCheckpointed) {

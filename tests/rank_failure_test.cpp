@@ -12,6 +12,7 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 
@@ -22,6 +23,7 @@
 #include "comm/topology.hpp"
 #include "core/exchange.hpp"
 #include "mesh/decomp.hpp"
+#include "obs/trace.hpp"
 #include "service/replica.hpp"
 #include "service/runner.hpp"
 #include "service/service.hpp"
@@ -414,6 +416,53 @@ TEST(RankFailureService, HangRecoversBitwiseUnderEveryCore) {
         << "hang recovery diverged from the fault-free run";
     EXPECT_EQ(svc::validate_report(service.report()), "");
   }
+}
+
+TEST(RankFailureService, TracedSerialRecoveryRunsTheSharedRestorePath) {
+  // A serial job is a one-rank world on the same attempt path as the
+  // other cores: its merged trace shows the campaign's spans and the
+  // restore span of its kill recovery under the job's pid, and its one
+  // rank records no comm traffic.
+  const std::string dir = temp_dir("traced_serial");
+  const svc::JobSpec spec =
+      faulted_spec("traced_serial", svc::CoreKind::kSerial, {1, 1, 1},
+                   comm::FaultKind::kKillRank);
+  obs::TraceCollector collector;
+  svc::ServiceOptions opt;
+  opt.slots = 1;
+  opt.rank_budget = 2;
+  opt.checkpoint_dir = dir;
+  opt.quarantine_seconds = 60.0;
+  opt.obs.trace = true;
+  opt.obs.dump_dir = dir;
+  opt.trace_sink = &collector;
+  int id = -1;
+  util::Json report;
+  {
+    svc::EnsembleService service(opt);
+    id = service.submit(spec);
+    service.wait(id);
+    const svc::JobResult r = service.result(id);
+    ASSERT_EQ(r.state, svc::JobState::kCompleted) << r.error;
+    EXPECT_GE(r.metrics.rank_recoveries, 1)
+        << "the kill never fired; the scenario is vacuous";
+    report = service.report();
+  }
+
+  const util::Json trace = collector.chrome_trace();
+  std::set<std::string> names;
+  for (const util::Json& ev : trace.find("traceEvents")->items())
+    if (ev.find("ph")->as_string() != "M" &&
+        ev.find("pid")->as_double() == id && ev.find("tid")->as_double() == 0)
+      names.insert(ev.find("name")->as_string());
+  for (const char* expected : {"campaign", "health_check", "restore"})
+    EXPECT_TRUE(names.count(expected))
+        << "the serial job's timeline lacks span '" << expected << "'";
+
+  const util::Json* comm = report.find("jobs")->items()[0].find("comm");
+  ASSERT_NE(comm, nullptr);
+  for (const char* key : {"messages", "bytes", "collective_calls"})
+    EXPECT_EQ(comm->find(key)->as_double(), 0.0) << key;
 }
 
 TEST(RankFailureService, CircuitBreakerRetiresAndReshapesTheJob) {

@@ -300,29 +300,35 @@ TEST(Service, SweepsStaleTmpCheckpointsAtStartup) {
   fs::remove_all(dir);
 }
 
-TEST(Report, LegacyV1ReportsStillValidate) {
-  // Archived v1 reports have no health section and no per-job
-  // rank-recovery fields; they must keep validating, while a v2-tagged
-  // report missing its health section must not.
-  const char* v1 = R"({
-    "schema": "ca-agcm/service-report/v1",
-    "service": {"slots": 1, "rank_budget": 2, "queue_capacity": 4,
-                "wall_seconds": 1.0, "jobs_submitted": 1,
-                "jobs_completed": 1, "jobs_failed": 0,
-                "max_concurrent_jobs": 1, "max_ranks_in_flight": 2,
-                "preemptions": 0, "retries": 0, "rank_seconds_busy": 0.5,
-                "utilization": 0.25},
-    "jobs": [{"id": 0, "name": "j", "core": "serial", "state": "completed",
-              "steps": 2, "steps_done": 2, "attempts": 1, "preemptions": 0,
-              "queue_wait_seconds": 0.0, "run_seconds": 0.5,
-              "steps_per_second": 4.0, "comm": {}, "faults": {}}]
-  })";
-  EXPECT_EQ(validate_report(util::Json::parse(v1)), "");
+TEST(Report, OnlyTheCurrentSchemaValidates) {
+  // A report produced by the live service validates; the same document
+  // re-tagged with any retired revision (v1-v4) must not, and a v5
+  // report missing its health section must not either.
+  ServiceOptions opt;
+  opt.slots = 1;
+  opt.rank_budget = 1;
+  opt.checkpoint_dir = std::filesystem::temp_directory_path().string();
+  EnsembleService svc(opt);
+  svc.submit(tiny_spec());
+  svc.drain();
+  const std::string v5 = svc.report().dump(2);
+  ASSERT_EQ(validate_report(util::Json::parse(v5)), "");
 
-  std::string v2_missing_health = v1;
-  v2_missing_health.replace(v2_missing_health.find("/v1"), 3, "/v2");
-  EXPECT_NE(validate_report(util::Json::parse(v2_missing_health)), "")
-      << "a v2 report without the health section must be rejected";
+  const std::string tag = "ca-agcm/service-report/v5";
+  ASSERT_NE(v5.find(tag), std::string::npos);
+  for (const char* retired : {"/v1", "/v2", "/v3", "/v4"}) {
+    std::string old = v5;
+    old.replace(old.find(tag) + tag.size() - 3, 3, retired);
+    EXPECT_NE(validate_report(util::Json::parse(old)), "")
+        << "a report tagged " << retired << " must be rejected";
+  }
+
+  const util::Json parsed = util::Json::parse(v5);
+  util::Json missing_health = util::Json::object();
+  for (const auto& [key, value] : parsed.members())
+    if (key != "health") missing_health[key] = value;
+  EXPECT_NE(validate_report(missing_health), "")
+      << "a v5 report without the health section must be rejected";
 }
 
 TEST(Service, RejectsInvalidSubmit) {
