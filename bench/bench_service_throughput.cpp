@@ -48,6 +48,9 @@
 //   steps           steps per uniform job       (default 6)
 //   long_steps      steps of the bimodal long job (default 20)
 //   out             output path                 (default BENCH_service.json)
+//   check           validate this file against the bench schema and
+//                   exit without running (bench-service-artifact runs
+//                   it on the committed BENCH_service.json)
 #include <algorithm>
 #include <array>
 #include <chrono>
@@ -217,10 +220,34 @@ std::string validate_bench(const util::Json& doc) {
   return {};
 }
 
+/// Re-parses a bench file and runs validate_bench on it; prints the
+/// problem and returns false when the file is unreadable or invalid.
+bool check_bench_file(const std::string& path) {
+  std::ifstream fin(path);
+  if (!fin) {
+    std::fprintf(stderr, "FAIL: cannot read %s\n", path.c_str());
+    return false;
+  }
+  std::stringstream buf;
+  buf << fin.rdbuf();
+  try {
+    const std::string problem = validate_bench(util::Json::parse(buf.str()));
+    if (problem.empty()) return true;
+    std::fprintf(stderr, "FAIL: %s invalid: %s\n", path.c_str(),
+                 problem.c_str());
+  } catch (const util::JsonError& e) {
+    std::fprintf(stderr, "FAIL: %s does not parse: %s\n", path.c_str(),
+                 e.what());
+  }
+  return false;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   util::Config in = util::Config::from_args(argc, argv);
+  if (const std::string path = in.get_string("check", ""); !path.empty())
+    return check_bench_file(path) ? 0 : 1;
   const core::DycoreConfig cfg = base_config(in);
   const int slots = in.get_int("slots", 3);
   const int budget = in.get_int("budget", 4);
@@ -919,20 +946,6 @@ int main(int argc, char** argv) {
 
   // Self-check: the emitted file must re-parse, match the bench schema,
   // and every embedded service report must satisfy ITS schema too.
-  std::ifstream fin(out_path);
-  std::stringstream buf;
-  buf << fin.rdbuf();
-  try {
-    const std::string problem = validate_bench(util::Json::parse(buf.str()));
-    if (!problem.empty()) {
-      std::fprintf(stderr, "FAIL: emitted JSON invalid: %s\n",
-                   problem.c_str());
-      ok = false;
-    }
-  } catch (const util::JsonError& e) {
-    std::fprintf(stderr, "FAIL: emitted JSON does not parse: %s\n",
-                 e.what());
-    ok = false;
-  }
+  if (!check_bench_file(out_path)) ok = false;
   return ok ? 0 : 1;
 }

@@ -79,11 +79,12 @@ struct JobSpec {
   /// the job to every assignment — a job-resident fault.)  The runner
   /// remaps these to job-local ranks per attempt via the pool assignment.
   std::vector<comm::FaultRule> node_faults;
-  /// Attempt budget (>= 1).  A failed attempt is retried with exponential
-  /// backoff until the budget is exhausted, then the job ends kFailed
-  /// with the accumulated FaultSummary.  Rank-death recoveries do NOT
-  /// burn attempts (they are the pool's fault, not the job's); they are
-  /// bounded separately by the pool's recovery cap.
+  /// Fault budget (>= 1): how many attempts may end in a comm or
+  /// infrastructure fault (detected corruption, timeout, any exception
+  /// out of the rank group); the job fails at the max_attempts-th.  Every
+  /// fault before that is retried with exponential backoff.  Yields, rank
+  /// deaths and numeric rollbacks have their own budgets and never spend
+  /// this one (see WorkerPool).
   int max_attempts = 1;
   /// Base backoff before attempt n+1 [s]; doubles per retry.
   double retry_backoff_seconds = 0.0;
@@ -121,21 +122,28 @@ struct JobMetrics {
   std::uint64_t messages = 0;       ///< p2p messages, summed over ranks
   std::uint64_t bytes = 0;
   std::uint64_t collective_calls = 0;
+  /// Dispatches minus rank-death recoveries; numbers the FaultPlan
+  /// reseed (seed + attempt - 1).
   int attempts = 0;
-  int preemptions = 0;
   /// Scheduler dispatches of OTHER jobs that happened while this job sat
   /// queued (summed over all of its queue residencies).  A wall-clock-free
   /// fairness measure: aging bounds how many times a low-priority job can
   /// be overtaken, regardless of how slow the machine is.
   std::uint64_t dispatches_overtaken = 0;
-  /// Attempts abandoned to a dead/hung rank and re-queued onto healthy
-  /// ranks (checkpoint recovery; not counted against max_attempts).
+  /// Incidents per resume cause — the counts the pool's per-cause
+  /// budgets read (a job that failed on a budget counts the exhausting
+  /// incident too).  Checkpoint yields to higher-priority work
+  /// (unbounded):
+  int preemptions = 0;
+  /// Attempts abandoned to a dead/hung rank (their dispatch is refunded
+  /// from `attempts`).
   int rank_recoveries = 0;
-  /// Attempts the health sentinel aborted (core::NumericalError) and the
-  /// pool rolled back to the last healthy checkpoint.  Charged against
-  /// the pool's service.numeric_retry budget, NOT against max_attempts —
-  /// a blowup is the trajectory's fault, not the infrastructure's.
+  /// Attempts the health sentinel aborted (core::NumericalError); charged
+  /// against the pool's service.numeric_retry budget.
   int numeric_rollbacks = 0;
+  /// Attempts that ended in a comm/infrastructure fault; charged against
+  /// JobSpec::max_attempts.
+  int fault_failures = 0;
   /// Resumes served from in-memory buddy replicas (no checkpoint file
   /// was read) vs. from the on-disk checkpoint chain.
   int ram_restores = 0;
@@ -200,7 +208,15 @@ struct Job {
   /// pop site accrues metrics.dispatches_overtaken from the difference.
   std::uint64_t dispatch_mark = 0;
   std::chrono::steady_clock::time_point ready_at{};  ///< backoff gate
-  int steps_done = 0;       ///< last checkpointed absolute step
+  /// Last yield mark (reset by a torn set); spec.steps once completed.
+  /// Reported progress only: the checkpoint headers name the resume step.
+  int steps_done = 0;
+  /// The job's own attempts have left a whole checkpoint set under
+  /// checkpoint_prefix (every rank at the same step, see CheckpointSet):
+  /// the next attempt resumes from it (its headers name the step) instead
+  /// of starting from step 0.  Files at the prefix that this job did not
+  /// write — another service's job with the same id — are never resumed.
+  bool checkpointed = false;
   /// Decomposition the NEXT attempt runs with.  Starts as spec.dims;
   /// shrinks when the pool re-factorizes the job for a permanently
   /// degraded rank budget or an elastic squeeze under queue pressure,

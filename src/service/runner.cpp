@@ -1,5 +1,6 @@
 #include "service/runner.hpp"
 
+#include <algorithm>
 #include <cstddef>
 #include <limits>
 #include <mutex>
@@ -25,45 +26,6 @@
 
 namespace ca::service {
 namespace {
-
-core::CampaignOptions campaign_options(
-    const JobSpec& spec, int start_step, double start_time_seconds,
-    const std::string& prefix, const physics::HeldSuarezForcing* forcing,
-    const std::function<bool()>& should_yield) {
-  core::CampaignOptions opt;
-  opt.steps = spec.steps;
-  opt.start_step = start_step;
-  opt.start_time_seconds = start_time_seconds;
-  opt.checkpoint_every = spec.checkpoint_every;
-  opt.checkpoint_prefix = prefix;
-  if (spec.held_suarez) {
-    opt.forcing = forcing;
-    opt.forcing_dt = spec.forcing_dt;
-  }
-  if (spec.checkpoint_every > 0) opt.should_yield = should_yield;
-  return opt;
-}
-
-/// The step/time a resumed attempt actually starts from: the checkpoint
-/// header's, not the pool's yield mark.  A failed attempt may have
-/// checkpointed PAST the last yield before dying; its files then record a
-/// later step than the pool's steps_done, and re-running the gap on top of
-/// the later state would silently diverge from the solo run.
-struct ResumePoint {
-  int step = 0;
-  double time_seconds = -1.0;
-};
-
-ResumePoint check_resume_step(std::int64_t header_step, int start_step,
-                              const JobSpec& spec, double time_seconds) {
-  if (header_step < start_step || header_step > spec.steps)
-    throw std::runtime_error(
-        "checkpoint step " + std::to_string(header_step) +
-        " outside the resumable range [" + std::to_string(start_step) +
-        ", " + std::to_string(spec.steps) + "] for job '" + spec.name +
-        "'");
-  return {static_cast<int>(header_step), time_seconds};
-}
 
 /// Executes a kCorruptState injection: pokes one owned interior cell of
 /// the chosen prognostic field.  Cell (0,0,0) is always inside the
@@ -91,6 +53,17 @@ bool restore_unhealthy(const core::HealthOptions& health,
   if (!health.enabled()) return false;
   const core::GlobalDiag d = core::local_diagnostics(op_ctx, xi);
   return !core::HealthSentinel::check_static(health, d).empty();
+}
+
+/// Restore agreement: replaces `v` with its world-wide max.  A one-rank
+/// world (the serial core) has no one to agree with and skips the
+/// collective.
+void agree_max(comm::Context& ctx, std::span<double> v) {
+  if (ctx.world().size() <= 1) return;
+  ctx.stats().set_phase("service");
+  const std::vector<double> local(v.begin(), v.end());
+  comm::allreduce<double>(ctx, ctx.world(), std::span<const double>(local),
+                          v, comm::ReduceOp::kMax);
 }
 
 }  // namespace
@@ -138,6 +111,9 @@ AttemptResult run_attempt(const JobSpec& spec, const AttemptOptions& o) {
   const bool inject = plan.enabled();
 
   util::Timer timer;
+  // Each rank's latest checkpoint step in this attempt (-1 = none); a
+  // rank writes only its own slot.
+  std::vector<std::int64_t> written(static_cast<std::size_t>(nranks), -1);
   try {
     comm::RunOptions opts = spec.comm;
     opts.faults = inject ? &plan : nullptr;
@@ -146,15 +122,17 @@ AttemptResult run_attempt(const JobSpec& spec, const AttemptOptions& o) {
     opts.trace_pid = o.trace_pid;
     std::mutex mu;
     auto drive = [&](auto& core, comm::Context& ctx) {
-      // The serial core runs as the only rank of a one-rank world: every
-      // agreement below is guarded by world().size() > 1, so it shares
-      // the restore path; only its halo refill, its step hook and its
-      // result hand-off differ.
+      // The serial core runs as the only rank of a one-rank world, where
+      // agree_max is a no-op, so it shares the restore path; only its
+      // halo refill, its step hook and its result hand-off differ.
       constexpr bool kSerial =
           std::is_same_v<std::remove_cvref_t<decltype(core)>,
                          core::SerialCore>;
       auto xi = core.make_state();
-      ResumePoint resume;
+      const std::string path =
+          util::checkpoint_path(checkpoint_prefix, ctx.world_rank());
+      int resume_step = 0;
+      double resume_time = -1.0;
       RestoreSource source = RestoreSource::kNone;
       double restore_s = 0.0;
       if (start_step > 0) {
@@ -163,16 +141,33 @@ AttemptResult run_attempt(const JobSpec& spec, const AttemptOptions& o) {
         const mesh::LatLonMesh mesh(spec.config.nx, spec.config.ny,
                                     spec.config.nz);
         std::vector<std::byte> carry;
-        const std::string path =
-            util::checkpoint_path(checkpoint_prefix, ctx.world_rank());
+        std::int64_t hdr_step = -1;
+        double hdr_time = 0.0;
+        // Reads this rank's disk chain up to max_step (-1 = its tip).  A
+        // chain cut short by corruption falls back to its last intact
+        // element: a survivable, silent data-loss event — exactly what the
+        // flight recorder exists to surface.
+        auto read_chain = [&](std::int64_t max_step) {
+          carry.clear();
+          const auto chain = util::read_checkpoint_chain(
+              path, mesh, core.decomp(), xi, &carry, {.max_step = max_step});
+          hdr_step = chain.header.step;
+          hdr_time = chain.header.time_seconds;
+          if (chain.truncated_by_corruption) {
+            ctx.tracer().instant("checkpoint_chain_fallback", "checkpoint",
+                                 "chain for job '" + spec.name +
+                                     "' truncated by corruption at step " +
+                                     std::to_string(hdr_step));
+            ctx.tracer().dump_flight(
+                "checkpoint chain truncated by corruption");
+          }
+        };
         // --- RAM replicas first.  Each rank parses its own freshest
         // CRC-valid copy, then the world agrees the set is uniform: a
         // usable RAM restore needs EVERY rank at the SAME step (the
         // survivors' self copies plus the victim's buddy copy).  Any
         // gap, mismatch, or corruption drops the whole world to disk
         // together — never a RAM/disk mix.
-        std::int64_t ram_step = -1;
-        double ram_time = 0.0;
         if (o.replicas != nullptr) {
           if (auto img =
                   o.replicas->fetch(checkpoint_prefix, ctx.world_rank())) {
@@ -181,116 +176,64 @@ AttemptResult run_attempt(const JobSpec& spec, const AttemptOptions& o) {
                   img->bytes, mesh, core.decomp(), xi, &carry,
                   "replica of rank " + std::to_string(ctx.world_rank()));
               if (hdr.step >= start_step && hdr.step <= spec.steps) {
-                ram_step = hdr.step;
-                ram_time = hdr.time_seconds;
+                hdr_step = hdr.step;
+                hdr_time = hdr.time_seconds;
               }
             } catch (const std::exception& e) {
-              ram_step = -1;
               ctx.tracer().instant("ram_restore_fallback", "checkpoint",
                                    e.what());
             }
           }
-          if (ram_step >= 0 &&
+          if (hdr_step >= 0 &&
               restore_unhealthy(o.health, core.op_context(), xi)) {
             // Poisoned replica: reject it and purge the job's replica
             // set (every copy records the same poisoned trajectory).
             // The agreement below then drops the whole world to disk,
             // where the chain can rewind past the poison.
-            ram_step = -1;
+            hdr_step = -1;
             ctx.tracer().instant(
                 "ram_restore_unhealthy", "checkpoint",
                 "replica of rank " + std::to_string(ctx.world_rank()) +
                     " failed the health check");
             o.replicas->erase_prefix(checkpoint_prefix);
           }
-          if (ctx.world().size() > 1) {
-            const double local[2] = {static_cast<double>(ram_step),
-                                     -static_cast<double>(ram_step)};
-            double agreed[2] = {local[0], local[1]};
-            ctx.stats().set_phase("service");
-            comm::allreduce<double>(ctx, ctx.world(),
-                                    std::span<const double>(local, 2),
-                                    std::span<double>(agreed, 2),
-                                    comm::ReduceOp::kMax);
-            if (agreed[0] != -agreed[1] || agreed[0] < 0.0) ram_step = -1;
-          }
+          double agreed[2] = {static_cast<double>(hdr_step),
+                              -static_cast<double>(hdr_step)};
+          agree_max(ctx, agreed);
+          if (agreed[0] != -agreed[1] || agreed[0] < 0.0) hdr_step = -1;
         }
-        std::int64_t hdr_step = 0;
-        double hdr_time = 0.0;
-        if (ram_step >= 0) {
-          hdr_step = ram_step;
-          hdr_time = ram_time;
+        if (hdr_step >= 0) {
           source = RestoreSource::kRam;
         } else {
-          carry.clear();
-          auto chain = util::read_checkpoint_chain(path, mesh, core.decomp(),
-                                                   xi, &carry);
-          hdr_step = chain.header.step;
-          hdr_time = chain.header.time_seconds;
-          if (chain.truncated_by_corruption) {
-            // The chain fell back to its last intact element.  That is a
-            // survivable, silent data-loss event — exactly what the
-            // flight recorder exists to surface.
-            ctx.tracer().instant("checkpoint_chain_fallback", "checkpoint",
-                                 "chain for job '" + spec.name +
-                                     "' truncated by corruption at step " +
-                                     std::to_string(hdr_step));
-            ctx.tracer().dump_flight(
-                "checkpoint chain truncated by corruption");
-          }
-          if (ctx.world().size() > 1) {
-            const double local[2] = {static_cast<double>(hdr_step),
-                                     -static_cast<double>(hdr_step)};
-            double agreed[2] = {local[0], local[1]};
-            ctx.stats().set_phase("service");
-            comm::allreduce<double>(ctx, ctx.world(),
-                                    std::span<const double>(local, 2),
-                                    std::span<double>(agreed, 2),
-                                    comm::ReduceOp::kMax);
-            const auto min_tip = static_cast<std::int64_t>(-agreed[1]);
-            const auto max_tip = static_cast<std::int64_t>(agreed[0]);
-            if (min_tip != max_tip) {
-              // Mixed tips.  With delta chains this is recoverable: ranks
-              // that checkpointed past the minimum rewind their chain to
-              // the common step.  The rewind attempt is made on every
-              // ahead rank and its success is agreed collectively, so
-              // either ALL ranks proceed from min_tip or ALL ranks fail
-              // the attempt together (a rank that threw alone would leave
-              // its peers hung in the next collective until the
-              // heartbeat timeout).
-              double fail = 0.0;
-              if (hdr_step != min_tip) {
-                try {
-                  carry.clear();
-                  auto rewound = util::read_checkpoint_chain(
-                      path, mesh, core.decomp(), xi, &carry,
-                      {.max_step = min_tip});
-                  hdr_step = rewound.header.step;
-                  hdr_time = rewound.header.time_seconds;
-                  if (rewound.truncated_by_corruption) {
-                    ctx.tracer().instant(
-                        "checkpoint_chain_fallback", "checkpoint",
-                        "rewound chain for job '" + spec.name +
-                            "' truncated by corruption at step " +
-                            std::to_string(hdr_step));
-                    ctx.tracer().dump_flight(
-                        "checkpoint chain truncated by corruption");
-                  }
-                } catch (const std::exception&) {
-                  fail = 1.0;
-                }
+          read_chain(-1);
+          double tips[2] = {static_cast<double>(hdr_step),
+                            -static_cast<double>(hdr_step)};
+          agree_max(ctx, tips);
+          const auto min_tip = static_cast<std::int64_t>(-tips[1]);
+          const auto max_tip = static_cast<std::int64_t>(tips[0]);
+          if (min_tip != max_tip) {
+            // Mixed tips.  With delta chains this is recoverable: ranks
+            // that checkpointed past the minimum rewind their chain to the
+            // common step.  The rewind attempt is made on every ahead rank
+            // and its success is agreed collectively, so either ALL ranks
+            // proceed from min_tip or ALL ranks fail the attempt together
+            // (a rank that threw alone would leave its peers hung in the
+            // next collective until the heartbeat timeout).
+            double fail = 0.0;
+            if (hdr_step != min_tip) {
+              try {
+                read_chain(min_tip);
+              } catch (const std::exception&) {
+                fail = 1.0;
               }
-              double any_fail = 0.0;
-              comm::allreduce<double>(
-                  ctx, ctx.world(), std::span<const double>(&fail, 1),
-                  std::span<double>(&any_fail, 1), comm::ReduceOp::kMax);
-              if (any_fail > 0.0)
-                throw std::runtime_error(
-                    "inconsistent checkpoint set for job '" + spec.name +
-                    "': rank headers record steps " +
-                    std::to_string(min_tip) + ".." +
-                    std::to_string(max_tip) + "; no common state to resume");
             }
+            agree_max(ctx, {&fail, 1});
+            if (fail > 0.0)
+              throw std::runtime_error(
+                  "inconsistent checkpoint set for job '" + spec.name +
+                  "': rank headers record steps " + std::to_string(min_tip) +
+                  ".." + std::to_string(max_tip) +
+                  "; no common state to resume");
           }
           // Poisoned-tip rewind, collectively agreed: the ranks now hold
           // a uniform-step set, so they run identical iterations of this
@@ -303,14 +246,8 @@ AttemptResult run_attempt(const JobSpec& spec, const AttemptOptions& o) {
             double bad =
                 restore_unhealthy(o.health, core.op_context(), xi) ? 1.0
                                                                    : 0.0;
-            double any_bad = bad;
-            if (ctx.world().size() > 1) {
-              ctx.stats().set_phase("service");
-              comm::allreduce<double>(
-                  ctx, ctx.world(), std::span<const double>(&bad, 1),
-                  std::span<double>(&any_bad, 1), comm::ReduceOp::kMax);
-            }
-            if (any_bad == 0.0) break;
+            agree_max(ctx, {&bad, 1});
+            if (bad == 0.0) break;
             const std::int64_t target = hdr_step - spec.checkpoint_every;
             double fail = 0.0;
             if (spec.checkpoint_every <= 0 || target < start_step ||
@@ -318,22 +255,13 @@ AttemptResult run_attempt(const JobSpec& spec, const AttemptOptions& o) {
               fail = 1.0;
             } else {
               try {
-                carry.clear();
-                const auto rewound = util::read_checkpoint_chain(
-                    path, mesh, core.decomp(), xi, &carry,
-                    {.max_step = target});
-                hdr_step = rewound.header.step;
-                hdr_time = rewound.header.time_seconds;
+                read_chain(target);
               } catch (const std::exception&) {
                 fail = 1.0;
               }
             }
-            double any_fail = fail;
-            if (ctx.world().size() > 1)
-              comm::allreduce<double>(
-                  ctx, ctx.world(), std::span<const double>(&fail, 1),
-                  std::span<double>(&any_fail, 1), comm::ReduceOp::kMax);
-            if (any_fail > 0.0)
+            agree_max(ctx, {&fail, 1});
+            if (fail > 0.0)
               throw std::runtime_error(
                   "no healthy checkpoint to resume job '" + spec.name +
                   "': the chain tip and every rewindable element "
@@ -345,10 +273,19 @@ AttemptResult run_attempt(const JobSpec& spec, const AttemptOptions& o) {
           }
           source = RestoreSource::kDisk;
         }
-        // Header-step agreement first: the carry is per-rank data tied to
-        // the agreed step, so a mixed-step file set fails before any rank
-        // restores state from it.
-        resume = check_resume_step(hdr_step, start_step, spec, hdr_time);
+        // The checkpoint header, not the pool's yield mark, names the step
+        // to resume from: a failed attempt may have checkpointed PAST the
+        // last yield, and re-running the gap on top of the later state
+        // would diverge from the solo run.  Checked before the carry,
+        // which is per-rank data tied to that step.
+        if (hdr_step < start_step || hdr_step > spec.steps)
+          throw std::runtime_error(
+              "checkpoint step " + std::to_string(hdr_step) +
+              " outside the resumable range [" + std::to_string(start_step) +
+              ", " + std::to_string(spec.steps) + "] for job '" + spec.name +
+              "'");
+        resume_step = static_cast<int>(hdr_step);
+        resume_time = hdr_time;
         // Cores with cross-step carry state (the CA core) restore it from
         // the checkpoint's CRC-guarded v3 block; a checkpoint without one
         // cannot reproduce the trajectory bitwise, so the attempt fails
@@ -373,28 +310,33 @@ AttemptResult run_attempt(const JobSpec& spec, const AttemptOptions& o) {
         core.initialize(xi, spec.initial);
       }
       const physics::HeldSuarezForcing forcing(core.op_context());
-      auto opt = campaign_options(spec, resume.step, resume.time_seconds,
-                                  checkpoint_prefix, &forcing, should_yield);
-      opt.health = o.health;
-      // Session-based writes (delta chains / replication) replace the
-      // campaign's plain full-file writer; the session must outlive the
-      // campaign loop.
-      util::CheckpointSession session(
-          util::checkpoint_path(checkpoint_prefix, ctx.world_rank()),
-          {.chain_cap = o.delta_chain, .block_bytes = o.delta_block_bytes});
-      if (o.delta_chain > 0 || o.replicas != nullptr) {
-        opt.write_checkpoint = [&core, &session, &o, &checkpoint_prefix,
-                                &ctx](const mesh::LatLonMesh& m,
-                                      const state::State& s,
-                                      std::int64_t step, double t,
-                                      std::span<const std::byte> carry,
-                                      std::uint32_t health) {
-          session.write(m, core.decomp(), s, step, t, carry, health);
-          if (o.replicas != nullptr)
-            replicate_checkpoint(ctx, *o.replicas, checkpoint_prefix, step,
-                                 t, session.image());
-        };
+      core::CampaignOptions opt;
+      opt.steps = spec.steps;
+      opt.start_step = resume_step;
+      opt.start_time_seconds = resume_time;
+      opt.checkpoint_every = spec.checkpoint_every;
+      if (spec.held_suarez) {
+        opt.forcing = &forcing;
+        opt.forcing_dt = spec.forcing_dt;
       }
+      if (spec.checkpoint_every > 0) opt.should_yield = should_yield;
+      opt.health = o.health;
+      // Every cadence goes through a session (a full file each time unless
+      // delta chaining is on), so the attempt sees each rank's writes:
+      // the pool resumes a job only from a set its own attempts wrote.
+      util::CheckpointSession session(
+          path,
+          {.chain_cap = o.delta_chain, .block_bytes = o.delta_block_bytes});
+      opt.write_checkpoint = [&](const mesh::LatLonMesh& m,
+                                 const state::State& s, std::int64_t step,
+                                 double t, std::span<const std::byte> carry,
+                                 std::uint32_t health) {
+        session.write(m, core.decomp(), s, step, t, carry, health);
+        if (o.replicas != nullptr)
+          replicate_checkpoint(ctx, *o.replicas, checkpoint_prefix, step, t,
+                               session.image());
+        written[static_cast<std::size_t>(ctx.world_rank())] = step;
+      };
       // The other cores reach notify_step from their own step(); the
       // serial core has no Context, so the campaign's step hook does it
       // and kill/hang faults fire exactly as on every other core.
@@ -416,7 +358,7 @@ AttemptResult run_attempt(const JobSpec& spec, const AttemptOptions& o) {
         ctx.tracer().dump_flight(e.what());
         throw;
       }
-      const int end = resume.step + executed;
+      const int end = resume_step + executed;
       const bool completed = end == spec.steps;
       state::State global;
       if (completed) {
@@ -478,6 +420,9 @@ AttemptResult run_attempt(const JobSpec& spec, const AttemptOptions& o) {
     res.yielded = false;
   }
   res.run_seconds = timer.seconds();
+  const auto [lo, hi] = std::minmax_element(written.begin(), written.end());
+  if (*hi >= 0)
+    res.checkpoints = *lo == *hi ? CheckpointSet::kWhole : CheckpointSet::kTorn;
   if (inject) res.faults = plan.summary();
   return res;
 }

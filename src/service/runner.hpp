@@ -2,9 +2,10 @@
 // comm::Runtime rank group sized to the job's decomposition (a serial job
 // is a one-rank group, so every core shares one restore path), restores
 // the job's checkpoint when resuming, drives the campaign loop, and
-// gathers the final global state plus per-attempt comm metrics.  Failure (a detected fault, a timeout, any exception out of
-// the rank group) is reported as an error string, never thrown — the
-// WorkerPool's retry logic decides what happens next.
+// gathers the final global state plus per-attempt comm metrics.  Failure
+// (a detected fault, a timeout, any exception out of the rank group) is
+// reported as an error string, never thrown — the WorkerPool's resume
+// policy decides what happens next.
 #pragma once
 
 #include <array>
@@ -27,6 +28,13 @@ class ReplicaStore;
 /// mix (a mixed set has no consistent trajectory).
 enum class RestoreSource { kNone = 0, kDisk = 1, kRam = 2 };
 
+/// What an attempt left under its checkpoint prefix.  kWhole: every rank's
+/// latest write records the same step, a set any restore can start from.
+/// kTorn: some rank wrote, but the ranks' latest steps differ or a rank
+/// wrote nothing (a fault inside a checkpoint cadence); with full-file
+/// checkpoints such a set cannot be rewound to a common step.
+enum class CheckpointSet { kUntouched, kWhole, kTorn };
+
 struct AttemptResult {
   /// The campaign yielded at a checkpoint (preemption) — not a failure.
   bool yielded = false;
@@ -47,6 +55,9 @@ struct AttemptResult {
   /// Step at which the sentinel tripped (-1 unless `numeric`).
   int numeric_step = -1;
   double run_seconds = 0.0;
+  /// Set even when the attempt then failed; the pool resumes a job only
+  /// from a kWhole set its own attempts wrote.
+  CheckpointSet checkpoints = CheckpointSet::kUntouched;
   /// Resume provenance: buddy RAM, disk, or a fresh start.
   RestoreSource restored_from = RestoreSource::kNone;
   /// Wall-clock of the restore section (max over ranks): checkpoint
@@ -71,8 +82,9 @@ struct AttemptOptions {
   /// retries.
   int attempt = 1;
   /// start_step > 0 means "resume from the per-rank checkpoints under
-  /// checkpoint_prefix" (which a prior attempt wrote); the steps actually
-  /// re-run are header.step+1 .. spec.steps — the checkpoint header, not
+  /// checkpoint_prefix" (which a prior attempt of the same job wrote —
+  /// the pool passes 1 only then); the steps actually re-run are
+  /// header.step+1 .. spec.steps — the checkpoint header, not
   /// start_step, is the source of truth, because a failed attempt may
   /// have checkpointed past the caller's mark before dying.  start_step
   /// only bounds it from below: a header behind it (or rank headers that

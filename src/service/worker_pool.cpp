@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <filesystem>
-#include <string_view>
+#include <optional>
 
 #include "service/runner.hpp"
 #include "util/checkpoint.hpp"
@@ -44,6 +44,67 @@ void add_summary(comm::FaultSummary& acc, const comm::FaultSummary& s) {
   acc.recovered_delay += s.recovered_delay;
   acc.recovered_duplicate += s.recovered_duplicate;
   acc.recovered_drop += s.recovered_drop;
+}
+
+enum class ReplicaAction { kKeep, kInvalidateDepositor, kPurge };
+enum class FlightDump { kNever, kEveryIncident, kOnExhaustion };
+
+/// One row per ResumeCause: everything that differs between a yield, a
+/// rank death, a numeric blowup and a fault.  WorkerPool::resume reads
+/// nothing else.
+struct ResumePolicy {
+  const char* cause;  ///< names the cause in instants and metric labels
+  int JobMetrics::*incidents;  ///< the job's count the budget reads
+  /// Incidents a job survives; the next one fails it (-1 = unbounded).
+  int (*budget)(const PoolOptions&, const JobSpec&);
+  bool exponential_backoff;  ///< retry_backoff_seconds * 2^(incidents-1)
+  /// The dispatch does not count in metrics.attempts: the pool's rank
+  /// failed, not the job.
+  bool refund_attempt;
+  /// The dead rank's RAM died with it (a hung rank's cannot be trusted),
+  /// so its deposits go; a blown-up trajectory may sit in every replica,
+  /// so a numeric rollback purges the job's set and restores from the
+  /// sentinel-verified disk chain.
+  ReplicaAction replicas;
+  bool quarantine;  ///< strike the pool rank that died
+  FlightDump dump;
+  JobState requeue_as;
+  const char* counter;  ///< registry counter of the cause's incidents
+};
+
+/// Indexed by ResumeCause.
+constexpr ResumePolicy kResumePolicy[] = {
+    {"yield", &JobMetrics::preemptions,
+     [](const PoolOptions&, const JobSpec&) { return -1; }, false, false,
+     ReplicaAction::kKeep, false, FlightDump::kNever, JobState::kPreempted,
+     "service.preemptions"},
+    // Every recovery strikes a rank and the breaker bounds strikes per
+    // rank, so more recoveries than this mean the faults follow the job.
+    {"rank_death", &JobMetrics::rank_recoveries,
+     [](const PoolOptions& o, const JobSpec&) {
+       return o.rank_budget * std::max(1, o.max_rank_strikes) + 1;
+     },
+     false, true, ReplicaAction::kInvalidateDepositor, true,
+     FlightDump::kNever, JobState::kBackoff, "service.rank_recoveries"},
+    {"numeric", &JobMetrics::numeric_rollbacks,
+     [](const PoolOptions& o, const JobSpec&) { return o.numeric_retry; },
+     false, false, ReplicaAction::kPurge, false, FlightDump::kEveryIncident,
+     JobState::kBackoff, "service.numeric_rollbacks"},
+    {"fault", &JobMetrics::fault_failures,
+     [](const PoolOptions&, const JobSpec& s) { return s.max_attempts - 1; },
+     true, false, ReplicaAction::kKeep, false, FlightDump::kOnExhaustion,
+     JobState::kBackoff, "service.retries"},
+};
+static_assert(std::size(kResumePolicy) ==
+              static_cast<std::size_t>(ResumeCause::kFault) + 1);
+
+/// Why an attempt stopped short of spec.steps; nullopt = it completed.
+std::optional<ResumeCause> cause_of(const AttemptResult& out) {
+  if (out.dead_rank >= 0) return ResumeCause::kRankDeath;
+  if (out.numeric) return ResumeCause::kNumeric;
+  if (!out.error.empty()) return ResumeCause::kFault;
+  if (out.yielded) return ResumeCause::kYield;
+  return std::nullopt;
 }
 
 }  // namespace
@@ -124,15 +185,10 @@ WorkerPool::WorkerPool(const PoolOptions& options)
        std::filesystem::directory_iterator(options_.checkpoint_dir, ec)) {
     if (!e.is_regular_file(ec)) continue;
     const std::string name = e.path().filename().string();
-    const auto ends_with = [&name](std::string_view suffix) {
-      return name.size() > suffix.size() &&
-             name.compare(name.size() - suffix.size(), suffix.size(),
-                          suffix) == 0;
-    };
-    if (ends_with(".ckpt.tmp")) {
+    if (name.ends_with(".ckpt.tmp")) {
       const auto mtime = std::filesystem::last_write_time(e.path(), ec);
       if (!ec && mtime < oldest_live) std::filesystem::remove(e.path(), ec);
-    } else if (ends_with(".reshard")) {
+    } else if (name.ends_with(".reshard")) {
       // A reshard marker is the commit record of a reshard that crashed
       // after committing but before publishing; roll it forward so the
       // checkpoint set is whole before any job resumes from it.  Same age
@@ -262,26 +318,6 @@ int WorkerPool::max_ranks_in_flight() const {
   return max_ranks_in_flight_;
 }
 
-std::uint64_t WorkerPool::preemptions() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return preemptions_;
-}
-
-std::uint64_t WorkerPool::retries() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return retries_;
-}
-
-std::uint64_t WorkerPool::elastic_shrinks() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return elastic_shrinks_;
-}
-
-std::uint64_t WorkerPool::elastic_grows() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return elastic_grows_;
-}
-
 double WorkerPool::rank_seconds_busy() const {
   std::lock_guard<std::mutex> lk(mu_);
   int busy = 0;
@@ -315,31 +351,11 @@ std::vector<RankHealthInfo> WorkerPool::rank_health() const {
   return out;
 }
 
-std::uint64_t WorkerPool::jobs_recovered() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return jobs_recovered_;
-}
-
-std::uint64_t WorkerPool::numeric_rollbacks() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return numeric_rollbacks_;
-}
-
 void WorkerPool::update_gauges() {
   metrics_.gauge("service.queue_depth")
       .set(static_cast<double>(scheduler_.size()));
   metrics_.gauge("service.free_ranks")
       .set(static_cast<double>(free_rank_count()));
-}
-
-std::uint64_t WorkerPool::quarantines() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return quarantines_;
-}
-
-int WorkerPool::ranks_retired() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return ranks_retired_;
 }
 
 double WorkerPool::degraded_rank_seconds() const {
@@ -400,18 +416,22 @@ void WorkerPool::quarantine_rank(int pool_rank, Clock::time_point now) {
   if (rh.status == RankStatus::kRetired) return;
   ++rh.strikes;
   ++rh.quarantines;
-  ++quarantines_;
   metrics_.counter("service.quarantines").add(1);
   if (rh.strikes >= options_.max_rank_strikes) {
     // Circuit breaker: this rank keeps killing attempts — retire it for
-    // good and deal with the permanently smaller budget right away.
+    // good and deal with the permanently smaller budget right away: the
+    // queued jobs that no longer fit re-enter through the checked push
+    // (reshaped or failed).  Their queue residency goes on, and with it
+    // their overtake mark.
     rh.status = RankStatus::kRetired;
-    ++ranks_retired_;
     metrics_.counter("service.ranks_retired").add(1);
     tracer_.instant("retire", "service",
                     "pool rank " + std::to_string(pool_rank) + " after " +
                         std::to_string(rh.strikes) + " strikes");
-    handle_shrunken_budget();
+    for (auto& j : scheduler_.remove_over_demand(usable_rank_count())) {
+      const std::uint64_t mark = j->dispatch_mark;
+      if (push_job_checked(j)) j->dispatch_mark = mark;
+    }
   } else {
     rh.status = RankStatus::kQuarantined;
     rh.until = now + to_duration(std::max(0.0, options_.quarantine_seconds));
@@ -485,11 +505,9 @@ std::string WorkerPool::refit_job(Job& job, int target) {
   // refit they could only mis-parse, so drop them at the moment the shape
   // changes (the re-written disk set is the sole restore source).
   replicas_.erase_prefix(job.checkpoint_prefix);
-  // Only an existing checkpoint set needs resharding; a job that never
+  // Only the job's own checkpoint set needs resharding; a job that never
   // checkpointed restarts from step 0 under the new shape directly.
-  std::error_code ec;
-  if (std::filesystem::exists(
-          util::checkpoint_path(job.checkpoint_prefix, 0), ec)) {
+  if (job.checkpointed) {
     if (job.reshard_from == std::array<int, 3>{0, 0, 0})
       job.reshard_from = job.active_dims;
     else if (job.reshard_from == d)
@@ -521,27 +539,12 @@ void WorkerPool::finish_job(Job& job, JobState state) {
   done_cv_.notify_all();
 }
 
-void WorkerPool::handle_shrunken_budget() {
-  const int usable = usable_rank_count();
-  auto evicted = scheduler_.remove_over_demand(usable);
-  for (auto& j : evicted) {
-    const std::string err = refit_job(*j, usable);
-    if (err.empty()) {
-      scheduler_.push(std::move(j));
-    } else {
-      j->error = err;
-      finish_job(*j, JobState::kFailed);
-    }
-  }
-}
-
 bool WorkerPool::push_job_checked(const std::shared_ptr<Job>& job) {
-  // handle_shrunken_budget() sweeps the jobs queued at the instant a rank
-  // retires; this guard covers every job arriving AFTER it — a fresh
-  // submit (validated against the full rank_budget), a yield re-queue, a
-  // retry re-queue.  Demand can exceed the usable count only once a rank
+  // Every queue entry passes here: a fresh submit (validated against the
+  // full rank_budget), a resume, and the queued jobs a retirement evicts
+  // (quarantine_rank).  Demand can exceed the usable count only once a rank
   // has retired (quarantined ranks still count as usable: they return).
-  if (ranks_retired_ > 0 && job->ranks() > usable_rank_count()) {
+  if (job->ranks() > usable_rank_count()) {
     const std::string err = refit_job(*job, usable_rank_count());
     if (!err.empty()) {
       job->error = err;
@@ -608,7 +611,6 @@ void WorkerPool::worker_loop() {
         if (room > job->ranks()) {
           const auto narrow = job->active_dims;
           if (refit_job(*job, room).empty() && job->active_dims != narrow) {
-            ++elastic_grows_;
             metrics_.counter("service.elastic_grows").add(1);
             tracer_.instant("elastic_grow", "service",
                             "job " + std::to_string(job->id) + " re-grown " +
@@ -680,7 +682,6 @@ void WorkerPool::worker_loop() {
           const auto wide = best->active_dims;
           if (refit_job(*best, free_rank_count()).empty() &&
               best->active_dims != wide) {
-            ++elastic_shrinks_;
             metrics_.counter("service.elastic_shrinks").add(1);
             tracer_.instant("elastic_shrink", "service",
                             "job " + std::to_string(best->id) +
@@ -703,20 +704,13 @@ void WorkerPool::worker_loop() {
 }
 
 void WorkerPool::execute(const std::shared_ptr<Job>& job) {
-  const int attempt = job->metrics.attempts;
-  int start_step = job->steps_done;
   Job* raw = job.get();
-
   AttemptResult out;
-  std::string prep_error;
-  // Resharding and the resume probe touch the filesystem; both run
-  // outside the pool lock like the attempt itself.
+  // Resharding touches the filesystem; it runs outside the pool lock like
+  // the attempt itself.  refit_job already dropped the RAM replicas, which
+  // hold the old decomposition's block shapes, when it changed the shape.
   if (job->reshard_from != std::array<int, 3>{0, 0, 0} &&
       job->reshard_from != job->active_dims) {
-    // The RAM replicas hold the OLD decomposition's block shapes; after a
-    // reshard they could only mis-parse, so the disk set (re-written at
-    // the new shape) is the sole restore source for the next attempt.
-    replicas_.erase_prefix(job->checkpoint_prefix);
     try {
       const mesh::LatLonMesh mesh(job->spec.config.nx, job->spec.config.ny,
                                   job->spec.config.nz);
@@ -724,26 +718,17 @@ void WorkerPool::execute(const std::shared_ptr<Job>& job) {
                                 job->reshard_from, job->active_dims);
       job->reshard_from = {0, 0, 0};
     } catch (const std::exception& e) {
-      prep_error = std::string("checkpoint reshard failed: ") + e.what();
+      out.error = std::string("checkpoint reshard failed: ") + e.what();
     }
   }
-  // Rank-death recovery: the dying attempt may have checkpointed without
-  // ever yielding, so steps_done (the last yield mark) still reads 0.
-  // Probe for a checkpoint set and let the attempt resume from its
-  // headers (the source of truth) instead of recomputing from scratch.
-  if (prep_error.empty() && start_step == 0 &&
-      job->spec.checkpoint_every > 0 &&
-      (job->metrics.rank_recoveries > 0 ||
-       job->metrics.numeric_rollbacks > 0)) {
-    std::error_code ec;
-    if (std::filesystem::exists(
-            util::checkpoint_path(job->checkpoint_prefix, 0), ec))
-      start_step = 1;
-  }
-  if (prep_error.empty()) {
+  if (out.error.empty()) {
     AttemptOptions o;
-    o.attempt = attempt;
-    o.start_step = start_step;
+    o.attempt = job->metrics.attempts;
+    // The one resume rule: resume iff this job's own attempts left a
+    // whole checkpoint set.  The checkpoint headers name the step; the
+    // yield mark does not bound it, because a torn set restarts the job
+    // from step 0 and its next set may lie below an earlier mark.
+    o.start_step = job->checkpointed ? 1 : 0;
     o.checkpoint_prefix = job->checkpoint_prefix;
     o.should_yield = [raw] {
       return raw->yield_requested.load(std::memory_order_relaxed);
@@ -764,14 +749,6 @@ void WorkerPool::execute(const std::shared_ptr<Job>& job) {
           job->id, "job " + std::to_string(job->id) + " '" +
                        job->spec.name + "'");
     out = run_attempt(job->spec, o);
-  } else {
-    out.error = prep_error;
-  }
-  if (out.dead_rank >= 0) {
-    // The dead rank's RAM died with it (and a hung rank's cannot be
-    // trusted): drop every copy it deposited.  Its own state survives as
-    // the buddy copy the victim pushed to rank (dead+1) % n.
-    replicas_.invalidate_depositor(job->checkpoint_prefix, out.dead_rank);
   }
 
   std::lock_guard<std::mutex> lk(mu_);
@@ -790,141 +767,75 @@ void WorkerPool::execute(const std::shared_ptr<Job>& job) {
     ++job->metrics.disk_restores;
   job->metrics.restore_seconds += out.restore_seconds;
   add_summary(job->faults, out.faults);
+  // A torn set replaces whatever whole set the job had: restart from 0,
+  // and the reported progress with it.
+  if (out.checkpoints != CheckpointSet::kUntouched)
+    job->checkpointed = out.checkpoints == CheckpointSet::kWhole;
+  job->steps_done = job->checkpointed ? std::max(job->steps_done, out.end_step)
+                                      : out.end_step;
 
-  const auto now = Clock::now();
-  if (out.dead_rank >= 0) {
-    // A rank died (killed) or went silent past the heartbeat.  That is
-    // the pool's hardware failing, not the job: quarantine the backing
-    // pool rank and re-queue the job for checkpoint recovery on healthy
-    // ranks without burning one of its attempts.
-    const int pool_id =
-        out.dead_rank < static_cast<int>(job->assigned_ranks.size())
-            ? job->assigned_ranks[static_cast<std::size_t>(out.dead_rank)]
-            : -1;
-    quarantine_rank(pool_id, now);
-    // Recovery cap: every recovery strikes a rank, and the breaker bounds
-    // strikes per rank, so exceeding this many means the faults follow
-    // the job itself — stop recovering and fail it.
-    const int cap = options_.rank_budget *
-                        std::max(1, options_.max_rank_strikes) +
-                    1;
-    job->error = out.error;
-    if (job->metrics.rank_recoveries >= cap) {
-      finish_job(*job, JobState::kFailed);
-    } else {
-      ++jobs_recovered_;
-      ++job->metrics.rank_recoveries;
-      metrics_.counter("service.rank_recoveries").add(1);
-      tracer_.instant("recovery", "service",
-                      "job " + std::to_string(job->id) +
-                          " re-queued after pool rank " +
-                          std::to_string(pool_id) + " died");
-      // The pop path will ++attempts again; a rank death must not burn
-      // the job's own attempt budget.
-      --job->metrics.attempts;
-      job->state = JobState::kBackoff;
-      job->ready_at = now;  // no backoff: the faulty rank sits out, not
-                            // the job
-      job->last_queued_at = now;
-      push_job_checked(job);
-    }
-  } else if (out.numeric) {
-    // The health sentinel aborted the attempt (NaN/Inf, runaway field or
-    // integral).  That is the trajectory's failure, not the comm
-    // layer's: it is charged against the separate service.numeric_retry
-    // budget, and the job rolls straight back to its last healthy
-    // checkpoint (sentinel-gated writes never persist a poisoned state,
-    // and the restore path re-verifies and rewinds any unverified tip).
-    job->error = out.error;
-    ++numeric_rollbacks_;
-    ++job->metrics.numeric_rollbacks;
-    metrics_.counter("service.numeric_rollbacks").add(1);
-    // Poison containment: the RAM replicas may hold cadences of the
-    // blown-up trajectory; purge them so the rollback restores from the
-    // verified disk chain only.
-    replicas_.erase_prefix(job->checkpoint_prefix);
-    tracer_.instant("numeric_rollback", "service",
-                    "job " + std::to_string(job->id) +
-                        " sentinel tripped at step " +
-                        std::to_string(out.numeric_step) + ": " + out.error);
-    // One flight dump per incident: the scheduler-side story of the
-    // blowup (dispatches, cadences, the trip) for the postmortem.
-    tracer_.dump_flight("numeric incident: job " + std::to_string(job->id) +
-                        " '" + job->spec.name + "': " + out.error);
-    if (job->metrics.numeric_rollbacks > options_.numeric_retry) {
-      finish_job(*job, JobState::kFailed);
-      metrics_.counter("service.numeric_retry_exhausted").add(1);
-      tracer_.instant("numeric_retry_exhausted", "service",
-                      "job " + std::to_string(job->id) + " failed after " +
-                          std::to_string(job->metrics.numeric_rollbacks) +
-                          " numeric rollbacks: " + out.error);
-    } else {
-      // No backoff and NO attempt refund: the attempt number must
-      // advance so attempt-scoped fault rules (corrupt_state defaults to
-      // attempt 1) become transient, and the reseed perturbs
-      // probabilistic ones.  max_attempts is never consulted for
-      // numeric failures — the budgets are disjoint by design.
-      job->state = JobState::kBackoff;
-      job->ready_at = now;
-      job->last_queued_at = now;
-      push_job_checked(job);
-    }
-  } else if (!out.error.empty()) {
-    job->error = out.error;  // latest failure retained either way
-    if (job->metrics.attempts < job->spec.max_attempts) {
-      ++retries_;
-      metrics_.counter("service.retries").add(1);
-      tracer_.instant("retry", "service",
-                      "job " + std::to_string(job->id) + " attempt " +
-                          std::to_string(job->metrics.attempts) +
-                          " failed: " + out.error);
-      const double backoff =
-          std::ldexp(job->spec.retry_backoff_seconds,
-                     std::min(attempt - 1, 20));
-      job->metrics.backoff_seconds += backoff;
-      job->state = JobState::kBackoff;
-      job->ready_at = now + to_duration(backoff);
-      job->last_queued_at = now;
-      // The retry passes steps_done (the last yield mark) only as a
-      // resume-from-checkpoint signal; run_attempt trusts the checkpoint
-      // headers' recorded step, which may be PAST steps_done when the
-      // failed attempt checkpointed mid-run before dying.
-      push_job_checked(job);
-    } else {
-      finish_job(*job, JobState::kFailed);
-      // Retry budget exhausted: a terminal failure the operator will want
-      // a postmortem for.  The scheduler ring holds the service-side story
-      // (dispatches, retries, quarantines leading up to it).
-      metrics_.counter("service.retry_exhausted").add(1);
-      tracer_.instant("retry_exhausted", "service",
-                      "job " + std::to_string(job->id) + " failed after " +
-                          std::to_string(job->metrics.attempts) +
-                          " attempts: " + out.error);
-      tracer_.dump_flight("retry budget exhausted for job " +
-                          std::to_string(job->id) + " '" + job->spec.name +
-                          "': " + out.error);
-    }
-  } else if (out.yielded) {
-    ++preemptions_;
-    ++job->metrics.preemptions;
-    metrics_.counter("service.preemptions").add(1);
-    tracer_.instant("yield", "service",
-                    "job " + std::to_string(job->id) + " yielded at step " +
-                        std::to_string(out.end_step));
-    job->steps_done = out.end_step;
-    job->yield_requested.store(false, std::memory_order_relaxed);
-    job->state = JobState::kPreempted;
-    job->ready_at = now;
-    job->last_queued_at = now;
-    push_job_checked(job);
+  if (const auto cause = cause_of(out)) {
+    resume(job, *cause, out);
   } else {
-    job->steps_done = out.end_step;
     job->final_state = std::move(out.global);
     job->error.clear();
     finish_job(*job, JobState::kCompleted);
   }
   update_gauges();
   work_cv_.notify_all();
+}
+
+void WorkerPool::resume(const std::shared_ptr<Job>& job, ResumeCause cause,
+                        const AttemptResult& out) {
+  const ResumePolicy& p = kResumePolicy[static_cast<std::size_t>(cause)];
+  const auto now = Clock::now();
+  if (!out.error.empty()) job->error = out.error;  // latest failure kept
+  if (p.quarantine) {
+    const auto& assigned = job->assigned_ranks;
+    quarantine_rank(out.dead_rank < static_cast<int>(assigned.size())
+                        ? assigned[static_cast<std::size_t>(out.dead_rank)]
+                        : -1,
+                    now);
+  }
+  if (p.replicas == ReplicaAction::kInvalidateDepositor)
+    replicas_.invalidate_depositor(job->checkpoint_prefix, out.dead_rank);
+  else if (p.replicas == ReplicaAction::kPurge)
+    replicas_.erase_prefix(job->checkpoint_prefix);
+  // Every incident counts, in the job and in the registry alike; the
+  // one that exhausts the budget also counts in budget_exhausted{cause}.
+  const int incidents = ++(job->metrics.*p.incidents);
+  metrics_.counter(p.counter).add(1);
+  if (p.refund_attempt) --job->metrics.attempts;
+  const int budget = p.budget(options_, job->spec);
+  const bool exhausted = budget >= 0 && incidents > budget;
+  const std::string what = "job " + std::to_string(job->id) + " '" +
+                           job->spec.name + "' cause=" + p.cause +
+                           " incident " + std::to_string(incidents);
+  if (p.dump == FlightDump::kEveryIncident ||
+      (exhausted && p.dump == FlightDump::kOnExhaustion))
+    tracer_.dump_flight(what + (exhausted ? " exhausted its budget: "
+                                          : ": ") +
+                        job->error);
+  if (exhausted) {
+    metrics_.counter("service.budget_exhausted", {{"cause", p.cause}}).add(1);
+    tracer_.instant("budget_exhausted", "service", what + ": " + job->error);
+    finish_job(*job, JobState::kFailed);
+    return;
+  }
+  const double backoff =
+      p.exponential_backoff
+          ? std::ldexp(job->spec.retry_backoff_seconds,
+                       std::min(incidents - 1, 20))
+          : 0.0;
+  tracer_.instant("resume", "service",
+                  what + (job->checkpointed ? " from checkpoint"
+                                            : " from step 0"));
+  job->metrics.backoff_seconds += backoff;
+  job->yield_requested.store(false, std::memory_order_relaxed);
+  job->state = p.requeue_as;
+  job->ready_at = now + to_duration(backoff);
+  job->last_queued_at = now;
+  push_job_checked(job);
 }
 
 }  // namespace ca::service

@@ -4,27 +4,23 @@
 // service::run_attempt), so the budget bounds the total logical ranks in
 // flight, not the number of jobs.
 //
-// The pool implements the two reliability behaviors on top of the
-// Scheduler's policy:
+// An attempt that does not complete re-enters the queue through ONE
+// transition, WorkerPool::resume, driven by the per-cause policy table
+// kResumePolicy in worker_pool.cpp: yield, rank_death, numeric and fault
+// each have their own incident count, budget, backoff, attempt refund,
+// replica action, quarantine and flight-dump rule, so no cause spends
+// another's budget.  Whatever the cause, a re-dispatched job resumes iff
+// its own attempts have left a whole checkpoint set (Job::checkpointed).
+//
+// Around that transition:
 //   - preemption: when the best ready job does not fit the free budget,
 //     the pool asks enough lower-priority preemptible running jobs to
-//     yield; their campaigns stop at the next checkpoint boundary and the
-//     jobs re-enter the queue with a resume offset, so short
-//     high-priority work is never starved by long runs;
-//   - retry with backoff: a failed attempt (detected fault, timeout, any
-//     exception out of the rank group) re-enters the queue gated by an
-//     exponentially growing ready_at until the attempt budget is spent,
-//     after which the job ends kFailed with its accumulated FaultSummary;
-//   - rank health: the budget is tracked per rank.  An attempt that ends
-//     with a dead/hung rank (AttemptResult::dead_rank) quarantines that
-//     pool rank for quarantine_seconds, and a circuit breaker retires it
-//     permanently after max_rank_strikes quarantines.  The job re-queues
-//     WITHOUT burning an attempt and resumes from its last checkpoint on
-//     healthy ranks — re-factorized to a smaller process grid when its
-//     shape can no longer fit the surviving budget.  This covers every
-//     distributed core: the CA core's cross-step carry travels in the
-//     checkpoint's reshardable carry blocks, so reshard_checkpoints
-//     redistributes it geometrically along with the field interiors;
+//     yield at their next checkpoint boundary;
+//   - rank health: a dead/hung rank's pool rank is quarantined for
+//     quarantine_seconds, and a circuit breaker retires it after
+//     max_rank_strikes quarantines; a job whose shape no longer fits the
+//     surviving budget is re-factorized to a smaller process grid (its
+//     checkpoint set is resharded, the CA core's carry included);
 //   - elasticity (opt-in, PoolOptions::elastic): under queue pressure a
 //     preemptible job that cannot fit the idle ranks is squeezed to a
 //     smaller valid decomposition and runs narrow instead of waiting for
@@ -117,6 +113,12 @@ struct RankHealthInfo {
   int quarantines = 0;
 };
 
+struct AttemptResult;
+
+/// Why an attempt ended without completing; indexes the pool's resume
+/// policy table.
+enum class ResumeCause { kYield, kRankDeath, kNumeric, kFault };
+
 class WorkerPool {
  public:
   explicit WorkerPool(const PoolOptions& options);
@@ -159,31 +161,41 @@ class WorkerPool {
   /// drain is never held up by a long exponential backoff.
   void shutdown();
 
-  // --- service-level counters (stable once the pool is drained) ---
+  // --- service-level counters (read from metrics(); stable once the
+  // pool is drained) ---
   int max_concurrent_jobs() const;
   int max_ranks_in_flight() const;
-  std::uint64_t preemptions() const;
-  std::uint64_t retries() const;
+  /// Incidents per cause, summed over jobs (each equals the sum of the
+  /// jobs' JobMetrics count): yields, faults, rank deaths and numeric
+  /// blowups, the budget-exhausting ones included; those also count
+  /// under service.budget_exhausted{cause}.
+  std::uint64_t preemptions() const { return count("service.preemptions"); }
+  std::uint64_t retries() const { return count("service.retries"); }
+  std::uint64_t jobs_recovered() const {
+    return count("service.rank_recoveries");
+  }
+  std::uint64_t numeric_rollbacks() const {
+    return count("service.numeric_rollbacks");
+  }
   /// Elastic refits (options().elastic only): jobs squeezed below their
   /// submitted decomposition to run on idle ranks, and re-grown toward it
   /// when room returned.
-  std::uint64_t elastic_shrinks() const;
-  std::uint64_t elastic_grows() const;
+  std::uint64_t elastic_shrinks() const {
+    return count("service.elastic_shrinks");
+  }
+  std::uint64_t elastic_grows() const { return count("service.elastic_grows"); }
   /// Integral of ranks-in-use over time [rank-seconds]; utilization is
   /// this over (rank_budget * service wall time).
   double rank_seconds_busy() const;
 
   // --- rank health (the report's `health` section) ---
   std::vector<RankHealthInfo> rank_health() const;
-  /// Attempts abandoned to a dead rank and re-queued for recovery.
-  std::uint64_t jobs_recovered() const;
-  /// Sentinel-tripped attempts rolled back to a healthy checkpoint
-  /// (NumericalError incidents, summed over jobs).
-  std::uint64_t numeric_rollbacks() const;
   /// Quarantine events (a rank may contribute several).
-  std::uint64_t quarantines() const;
+  std::uint64_t quarantines() const { return count("service.quarantines"); }
   /// Ranks permanently retired by the circuit breaker.
-  int ranks_retired() const;
+  int ranks_retired() const {
+    return static_cast<int>(count("service.ranks_retired"));
+  }
   /// Integral of impaired (quarantined + retired) ranks over time
   /// [rank-seconds]: how much advertised capacity was lost to faults.
   double degraded_rank_seconds() const;
@@ -201,6 +213,17 @@ class WorkerPool {
   void worker_loop();
   /// Runs one attempt of `job` outside the lock and applies the outcome.
   void execute(const std::shared_ptr<Job>& job);
+  /// Under lock: the one transition for an attempt that did not complete.
+  /// Applies the cause's row of the policy table — counts the incident,
+  /// quarantines / purges replicas / dumps the flight recorder as the row
+  /// says — then either re-queues the job through push_job_checked or,
+  /// past the row's budget, fails it through finish_job.
+  void resume(const std::shared_ptr<Job>& job, ResumeCause cause,
+              const AttemptResult& out);
+  /// Current value of a registry counter (0 before its first add).
+  std::uint64_t count(const char* name) const {
+    return metrics_.counter(name).value();
+  }
   /// Under lock: ask lower-priority preemptible running jobs to yield
   /// until `needed` ranks will come free for a job of `priority`.
   void request_preemption(int priority, int needed);
@@ -216,7 +239,8 @@ class WorkerPool {
   std::chrono::steady_clock::time_point revive_ranks(
       std::chrono::steady_clock::time_point now);
   /// Under lock: strike + quarantine (or retire) a pool rank after a
-  /// dead-rank attempt.
+  /// dead-rank attempt; a retirement re-checks every queued job against
+  /// the smaller usable budget.
   void quarantine_rank(int pool_rank,
                        std::chrono::steady_clock::time_point now);
   /// Under lock: refit `job`'s decomposition to the largest valid process
@@ -226,9 +250,6 @@ class WorkerPool {
   /// and drops the stale RAM replicas when the shape actually changes.
   /// Returns empty on success, else the reason no shape fits.
   std::string refit_job(Job& job, int target);
-  /// Under lock: fail (or reshape) every queued job whose demand exceeds
-  /// the permanently usable budget; called after a rank retires.
-  void handle_shrunken_budget();
   /// Under lock: the single queue-entry point.  When ranks have been
   /// permanently retired, a job demanding more than the usable budget is
   /// reshaped (or failed) BEFORE it is queued — otherwise it would wait
@@ -248,10 +269,12 @@ class WorkerPool {
   /// RAM replica cache shared by every job's attempts; own mutex, never
   /// touched under mu_ ordering constraints.
   ReplicaStore replicas_;
-  /// Service metrics (own locks) and the scheduler-decision tracer.  The
-  /// tracer's ring is only ever touched under mu_ (every instant site
-  /// holds the pool lock), flushed once after the slots join.
-  obs::MetricsRegistry metrics_;
+  /// Service metrics (own locks; the single source of the pool's counters,
+  /// mutable so const accessors can look a counter up) and the
+  /// scheduler-decision tracer.  The tracer's ring is only ever touched
+  /// under mu_ (every instant site holds the pool lock), flushed once
+  /// after the slots join.
+  mutable obs::MetricsRegistry metrics_;
   obs::Tracer tracer_;
   mutable std::mutex mu_;
   std::condition_variable work_cv_;   ///< workers: queue/budget changed
@@ -269,17 +292,9 @@ class WorkerPool {
   std::once_flag shutdown_once_;
   int max_concurrent_ = 0;
   int max_ranks_in_flight_ = 0;
-  std::uint64_t preemptions_ = 0;
-  std::uint64_t retries_ = 0;
-  std::uint64_t elastic_shrinks_ = 0;
-  std::uint64_t elastic_grows_ = 0;
   /// Scheduler dispatch counter backing the jobs' dispatches_overtaken
   /// metric (see Job::dispatch_mark).
   std::uint64_t dispatches_ = 0;
-  std::uint64_t jobs_recovered_ = 0;
-  std::uint64_t numeric_rollbacks_ = 0;
-  std::uint64_t quarantines_ = 0;
-  int ranks_retired_ = 0;
   double rank_seconds_busy_ = 0.0;
   double degraded_rank_seconds_ = 0.0;
   std::chrono::steady_clock::time_point busy_mark_;

@@ -465,6 +465,55 @@ TEST(RankFailureService, TracedSerialRecoveryRunsTheSharedRestorePath) {
     EXPECT_EQ(comm->find(key)->as_double(), 0.0) << key;
 }
 
+TEST(RankFailureService, RecoveryNeverResumesAnotherServicesCheckpoints) {
+  // Job ids restart at 0 in every service, so two services sharing a
+  // checkpoint directory write under the same prefix.  The second
+  // service's job dies before its first checkpoint: its recovery must
+  // start from step 0, not resume the set the first service's job left.
+  const std::string dir = temp_dir("foreign_set");
+  svc::JobSpec first;
+  first.name = "first";
+  first.config = small_config();
+  first.steps = 4;
+  first.checkpoint_every = 2;
+  first.initial.jet_speed = 10.0;
+  svc::JobSpec second = first;
+  second.name = "second";
+  second.initial.jet_speed = 20.0;
+  second.node_faults.push_back(
+      step_rule(comm::FaultKind::kKillRank, /*src=*/0, /*step=*/0));
+  second.comm.recv_timeout = std::chrono::seconds(20);
+  second.comm.heartbeat_timeout = std::chrono::milliseconds(250);
+  const state::State reference = solo_run(second, dir + "/solo");
+
+  svc::ServiceOptions opt;
+  opt.slots = 1;
+  opt.rank_budget = 2;
+  opt.checkpoint_dir = dir;
+  opt.quarantine_seconds = 60.0;
+  int first_id = -1;
+  {
+    svc::EnsembleService service(opt);
+    first_id = service.submit(first);
+    service.wait(first_id);
+    ASSERT_EQ(service.result(first_id).state, svc::JobState::kCompleted);
+  }
+  svc::EnsembleService service(opt);
+  const int id = service.submit(second);
+  ASSERT_EQ(id, first_id) << "the jobs no longer share a checkpoint prefix";
+  service.wait(id);
+
+  const svc::JobResult r = service.result(id);
+  ASSERT_EQ(r.state, svc::JobState::kCompleted) << r.error;
+  ASSERT_GE(r.metrics.rank_recoveries, 1)
+      << "the kill never fired; the scenario is vacuous";
+  EXPECT_EQ(r.metrics.disk_restores + r.metrics.ram_restores, 0)
+      << "the recovery resumed a checkpoint set the job never wrote";
+  EXPECT_EQ(state::State::max_abs_diff(r.final_state, reference,
+                                       reference.interior()),
+            0.0);
+}
+
 TEST(RankFailureService, CircuitBreakerRetiresAndReshapesTheJob) {
   // Budget 2, one strike allowed: the kill retires pool rank 0 outright,
   // the 2-rank job no longer fits the 1 usable rank, and the pool must

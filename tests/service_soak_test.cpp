@@ -6,6 +6,7 @@
 // carrying the FaultSummary of its attempts.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <filesystem>
@@ -687,6 +688,258 @@ TEST(ServiceSoak, RetryCompletesAfterTransientFault) {
   const util::Json report = svc.report();
   EXPECT_EQ(validate_report(report), "");
   EXPECT_GE(report.find("service")->find("retries")->as_double(), 1.0);
+}
+
+TEST(ServiceSoak, FaultBudgetCountsOnlyFaults) {
+  // max_attempts bounds the attempts that END IN A FAULT.  A yield or a
+  // numeric rollback before the fault re-dispatches the job too, but must
+  // leave its one fault retry unspent: each input below ends kCompleted
+  // on its third attempt, resumed from its own checkpoints, bit for bit.
+  const ScopedUnsetEnv elastic_off("CA_AGCM_SERVICE_ELASTIC");
+  const core::DycoreConfig cfg = soak_config();
+  const std::string dir = temp_dir("fault_budget");
+
+  comm::FaultRule stall;  // slows attempt 1 so the eviction lands mid-run
+  stall.kind = comm::FaultKind::kStall;
+  stall.probability = 1.0;
+  stall.param = 250;
+  stall.attempt = 1;
+  comm::FaultRule poison;  // NaN in u after step 3 of attempt 1
+  poison.kind = comm::FaultKind::kCorruptState;
+  poison.step = 2;
+  poison.param = 0;
+  poison.attempt = 1;
+  comm::FaultRule corrupt;  // every message of attempt 2
+  corrupt.kind = comm::FaultKind::kCorrupt;
+  corrupt.probability = 1.0;
+  corrupt.attempt = 2;
+
+  struct Input {
+    const char* name;
+    comm::FaultRule first;
+    bool evict;
+  };
+  const Input inputs[] = {{"yield_then_fault", stall, true},
+                          {"numeric_then_fault", poison, false}};
+  for (const Input& in : inputs) {
+    SCOPED_TRACE(in.name);
+    JobSpec j;
+    j.name = in.name;
+    j.core = CoreKind::kOriginal;
+    j.config = cfg;
+    j.dims = {1, 2, 1};
+    j.steps = 6;
+    j.checkpoint_every = 1;
+    comm::FaultPlan plan(3u);
+    plan.add_rule(in.first);
+    plan.add_rule(corrupt);
+    j.faults = plan;
+    j.max_attempts = 2;
+    j.retry_backoff_seconds = 0.001;
+    j.comm.recv_timeout = std::chrono::milliseconds(400);
+    const state::State reference =
+        solo_run(j, dir + "/solo_" + std::string(in.name));
+
+    ServiceOptions opt;
+    opt.slots = 2;
+    opt.rank_budget = 2;
+    opt.checkpoint_dir = dir;
+    EnsembleService svc(opt);
+    const int id = svc.submit(j);
+    if (in.evict) {
+      // The job owns the whole budget; a high-priority one-rank job can
+      // only run by evicting it.
+      await_running(svc, id);
+      JobSpec hipri;
+      hipri.name = "hipri";
+      hipri.config = cfg;
+      hipri.steps = 2;
+      hipri.priority = 10;
+      svc.submit(hipri);
+    }
+    svc.drain();
+
+    const JobResult r = svc.result(id);
+    ASSERT_EQ(r.state, JobState::kCompleted) << r.error;
+    if (in.evict)
+      ASSERT_GE(r.metrics.preemptions, 1)
+          << "the job was never preempted; the input is vacuous";
+    else
+      EXPECT_EQ(r.metrics.numeric_rollbacks, 1);
+    EXPECT_EQ(r.metrics.fault_failures, 1);
+    EXPECT_EQ(r.metrics.attempts, 3);
+    EXPECT_GE(r.faults.detected_checksum, 1u);
+    expect_bitwise(r.final_state, reference, j.name);
+  }
+}
+
+TEST(ServiceSoak, TornCheckpointSetRestartsFromStepZero) {
+  // A corrupted message from rank 1 inside a checkpoint barrier fails
+  // rank 0 there, while rank 1 completes the barrier and writes one
+  // checkpoint more: the set is torn and cannot be resumed, so the pool
+  // restarts the job from step 0.  Its next set may then lie below an
+  // earlier yield mark, and a later resume must still start from it.
+  const ScopedUnsetEnv elastic_off("CA_AGCM_SERVICE_ELASTIC");
+  const std::string dir = temp_dir("torn_set");
+
+  // Seeds found by scanning.  The injector hashes (seed, rule, message
+  // identity), so where the first corrupted barrier message falls is
+  // fixed by the attempt's own traffic: seed 1 tears attempt 1, and seed
+  // 5 tears attempt 2 whatever its yield mark from 2 to 6.
+  auto tear = [](int attempt) {
+    comm::FaultRule r;
+    r.kind = comm::FaultKind::kCorrupt;
+    r.probability = 0.3;
+    r.phase = "service";
+    r.src = 1;
+    r.dst = 0;
+    r.attempt = attempt;
+    return r;
+  };
+  comm::FaultPlan from_start(1u);
+  from_start.add_rule(tear(1));
+  comm::FaultRule stall;  // slows attempt 1 so the eviction lands mid-run
+  stall.kind = comm::FaultKind::kStall;
+  stall.probability = 1.0;
+  stall.param = 250;
+  stall.attempt = 1;
+  comm::FaultRule poison;  // attempt 3: NaN in u after step 2
+  poison.kind = comm::FaultKind::kCorruptState;
+  poison.step = 1;
+  poison.param = 0;
+  poison.attempt = 3;
+  comm::FaultPlan after_yield(5u);
+  after_yield.add_rule(stall);
+  after_yield.add_rule(tear(2));
+  after_yield.add_rule(poison);
+
+  struct Input {
+    const char* name;
+    comm::FaultPlan plan;
+    int steps;
+    // Attempt 1 yields at step 2 (after_yield) or never (from_start).
+    int yield_at;
+  };
+  const Input inputs[] = {{"torn_from_start", from_start, 4, 0},
+                          {"yield_then_torn", after_yield, 8, 2}};
+  for (const Input& in : inputs) {
+    SCOPED_TRACE(in.name);
+    const std::string sub = dir + "/" + in.name;
+    std::filesystem::remove_all(sub);
+    std::filesystem::create_directories(sub);
+    JobSpec j;
+    j.name = in.name;
+    j.core = CoreKind::kOriginal;
+    j.config = soak_config();
+    j.dims = {1, 2, 1};
+    j.steps = in.steps;
+    j.checkpoint_every = 1;
+    j.faults = in.plan;
+    j.max_attempts = 2;
+    j.retry_backoff_seconds = 0.001;
+    j.comm.recv_timeout = std::chrono::milliseconds(400);
+    const state::State reference = solo_run(j, sub + "/solo");
+
+    // The premise, on the runner alone: the tearing attempt leaves a
+    // torn set.
+    {
+      std::atomic<int> polls{0};
+      auto yield = [&] {  // both ranks poll once per barrier
+        return in.yield_at > 0 && ++polls >= 2 * in.yield_at - 1;
+      };
+      const AttemptResult first = run_attempt(j, 1, 0, sub + "/premise", yield);
+      AttemptResult torn = first;
+      if (in.yield_at > 0) {
+        ASSERT_TRUE(first.yielded && first.end_step == in.yield_at)
+            << first.error;
+        torn = run_attempt(j, 2, 1, sub + "/premise", {});
+      }
+      ASSERT_EQ(torn.checkpoints, CheckpointSet::kTorn) << torn.error;
+      ASSERT_FALSE(torn.error.empty());
+      ASSERT_EQ(torn.dead_rank, -1);
+    }
+
+    ServiceOptions opt;
+    opt.slots = 2;
+    opt.rank_budget = 2;
+    opt.checkpoint_dir = sub;
+    EnsembleService svc(opt);
+    const int id = svc.submit(j);
+    if (in.yield_at > 0) {
+      // Evict the job only once it has checkpointed step 1, so its yield
+      // mark is at least 2 and the set written after the torn restart
+      // (step 1) lies below it.
+      await_running(svc, id);
+      const std::string rank0 = util::checkpoint_path(
+          sub + "/ca_service_job" + std::to_string(id), 0);
+      const auto start = Clock::now();
+      while (!std::filesystem::exists(rank0)) {
+        ASSERT_LT(elapsed_seconds(start), 30.0) << "no checkpoint written";
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      JobSpec hipri;
+      hipri.name = "hipri";
+      hipri.config = soak_config();
+      hipri.steps = 2;
+      hipri.priority = 10;
+      svc.submit(hipri);
+    }
+    svc.drain();
+
+    const JobResult r = svc.result(id);
+    ASSERT_EQ(r.state, JobState::kCompleted) << r.error;
+    EXPECT_EQ(r.metrics.fault_failures, 1);
+    if (in.yield_at > 0) {
+      ASSERT_EQ(r.metrics.preemptions, 1)
+          << "the job was never preempted; the input is vacuous";
+      // Only the attempt after the torn restart runs the poisoned steps.
+      ASSERT_EQ(r.metrics.numeric_rollbacks, 1)
+          << "the set was never torn; the input is vacuous";
+      EXPECT_EQ(r.metrics.attempts, 4);
+    } else {
+      EXPECT_EQ(r.metrics.attempts, 2);
+      EXPECT_EQ(r.metrics.disk_restores + r.metrics.ram_restores, 0)
+          << "the retry resumed a torn set";
+    }
+    expect_bitwise(r.final_state, reference, j.name);
+  }
+}
+
+TEST(ServiceSoak, CauseCountsIncludeTheExhaustingIncident) {
+  // A job's per-cause count and the service's counter for that cause
+  // count the same incidents, the one that exhausts the budget included,
+  // so the jobs' counts sum to the service totals.
+  const std::string dir = temp_dir("exhausting_incident");
+  JobSpec j;
+  j.name = "doomed";
+  j.core = CoreKind::kOriginal;
+  j.config = soak_config();
+  j.dims = {1, 2, 1};
+  j.steps = 2;
+  comm::FaultPlan plan(7u);
+  comm::FaultRule corrupt;  // every message of every attempt
+  corrupt.kind = comm::FaultKind::kCorrupt;
+  corrupt.probability = 1.0;
+  plan.add_rule(corrupt);
+  j.faults = plan;
+  j.max_attempts = 2;
+  j.retry_backoff_seconds = 0.001;
+  j.comm.recv_timeout = std::chrono::milliseconds(400);
+
+  ServiceOptions opt;
+  opt.slots = 1;
+  opt.rank_budget = 2;
+  opt.checkpoint_dir = dir;
+  EnsembleService svc(opt);
+  const int id = svc.submit(j);
+  svc.drain();
+
+  const JobResult r = svc.result(id);
+  ASSERT_EQ(r.state, JobState::kFailed);
+  EXPECT_EQ(r.metrics.fault_failures, 2);
+  EXPECT_EQ(svc.retries(), 2u);
+  const util::Json report = svc.report();
+  EXPECT_EQ(report.find("service")->find("retries")->as_double(), 2.0);
 }
 
 }  // namespace
