@@ -107,10 +107,10 @@ class Context {
   CommStats& stats() { return stats_; }
   const CommStats& stats() const { return stats_; }
 
-  /// Wall-clock phase attribution of this rank's communication: the halo
-  /// exchange engine and the collectives charge their real elapsed time
-  /// here ("exchange" / "collective"), which the wall-clock bench reads
-  /// alongside the message counters.
+  /// Wall-clock phase attribution of this rank's communication: the
+  /// phase spans of the halo exchange engine and the collectives charge
+  /// their elapsed time here ("exchange" / "exchange_wait" /
+  /// "collective"), read alongside the message counters.
   util::PhaseTimers& timers() { return timers_; }
   const util::PhaseTimers& timers() const { return timers_; }
 

@@ -288,7 +288,6 @@ void CACore::step(state::State& xi) {
     }
     ++u;
     fill_boundaries(eta_);
-    if (debug_observer) debug_observer("eta1", eta_);
 
     const int e2 = 3 * M - 1 - u;
     const mesh::Box w2 = extended_window(e2, 0);
@@ -296,7 +295,6 @@ void CACore::step(state::State& xi) {
     eta_.add_scaled(xi, dt1, tend_, w2);
     ++u;
     fill_boundaries(eta_);
-    if (debug_observer) debug_observer("eta2", eta_);
 
     const int e3 = 3 * M - 1 - u;
     const mesh::Box w3 = extended_window(e3, 0);
@@ -306,7 +304,6 @@ void CACore::step(state::State& xi) {
     xi.add_scaled(xi, dt1, tend_, w3);
     ++u;
     fill_boundaries(xi);
-    if (debug_observer) debug_observer("eta3", xi);
   }
 
   // --- the ONE advection exchange --------------------------------------------
@@ -340,14 +337,12 @@ void CACore::step(state::State& xi) {
   }
   carry_psa(xi, eta_);
   fill_boundaries(eta_);
-  if (debug_observer) debug_observer("zeta1", eta_);
 
   const mesh::Box aw2 = extended_window(1, 1);
   eval_tendency(eta_, aw2, Operator::kAdvection, false);
   eta_.add_scaled(xi, dt2, tend_, aw2);
   carry_psa(xi, eta_);
   fill_boundaries(eta_);
-  if (debug_observer) debug_observer("zeta2", eta_);
 
   const mesh::Box aw3 = extended_window(0, 0);
   mid_.average(xi, eta_, aw2);
@@ -356,7 +351,6 @@ void CACore::step(state::State& xi) {
   eval_tendency(mid_, aw3, Operator::kAdvection, false);
   xi.add_scaled(xi, dt2, tend_, aw3);
   fill_boundaries(xi);
-  if (debug_observer) debug_observer("zeta3", xi);
 
   ++step_count_;
 }

@@ -14,7 +14,6 @@
 // Total: 2 neighbor communications per step instead of 3M + 4.
 #pragma once
 
-#include <functional>
 #include <string>
 
 #include "comm/topology.hpp"
@@ -59,8 +58,7 @@ class CACore {
   const comm::CartTopology& topology() const { return topo_; }
   const CAOptions& options() const { return options_; }
   /// Halo-exchange engine and polar filter (read-only; exposed so tests
-  /// and the wall-clock bench can inspect message counts and workspace
-  /// reuse counters).
+  /// can inspect message counts and workspace reuse counters).
   const HaloExchanger& exchanger() const { return exchanger_; }
   const ops::FourierFilter& filter() const { return filter_; }
 
@@ -115,10 +113,6 @@ class CACore {
   /// Restores state saved by save_carry on an identically configured
   /// core.  Throws std::runtime_error on a magic/version/shape mismatch.
   void restore_carry(util::CarryReader& r);
-
-  /// Test/debug hook: called after every internal update with a label and
-  /// the state holding that update's result.
-  std::function<void(const char*, const state::State&)> debug_observer;
 
  private:
   enum class Operator { kAdaptation, kAdvection };

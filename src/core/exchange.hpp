@@ -55,8 +55,6 @@ class HaloExchanger {
                 const mesh::DomainDecomp& decomp, bool coalesce = false)
       : ctx_(&ctx), topo_(&topo), decomp_(&decomp), coalesce_(coalesce) {}
 
-  /// Switches message granularity (takes effect at the next begin()).
-  void set_coalesce(bool on) { coalesce_ = on; }
   bool coalesce() const { return coalesce_; }
 
   /// Posts receives and sends for all items; returns immediately.  If a

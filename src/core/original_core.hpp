@@ -44,8 +44,7 @@ class OriginalCore {
   const comm::CartTopology& topology() const { return topo_; }
   DecompScheme scheme() const { return scheme_; }
   /// Halo-exchange engine and polar filter (read-only; exposed so tests
-  /// and the wall-clock bench can inspect message counts and workspace
-  /// reuse counters).
+  /// can inspect message counts and workspace reuse counters).
   const HaloExchanger& exchanger() const { return exchanger_; }
   const ops::FourierFilter& filter() const { return filter_; }
 

@@ -5,8 +5,9 @@
 // share the same clock reads:
 //
 //   * util::PhaseTimers — spans opened with phase_span() add their duration
-//     to the rank's phase totals, so BENCH_wallclock.json numbers and trace
-//     timelines come from the same measurements;
+//     to the rank's phase totals (the only source of phase time: perfbench's
+//     per-rank wait/exchange/collective fractions read them), so phase
+//     totals and trace timelines come from the same measurements;
 //   * the trace export — when obs.trace is on, rings spill into the run's
 //     TraceCollector, which merges all ranks into one Chrome trace_event
 //     JSON (load chrome://tracing or https://ui.perfetto.dev);
@@ -17,7 +18,7 @@
 //
 // With obs fully off (obs.trace=0 obs.dump_on_failure=0, or the
 // CA_AGCM_OBS_OFF compile definition) span() reduces to a single branch and
-// no clock is read; phase_span() keeps the seed's PhaseTimers accounting.
+// no clock is read; phase_span() still charges the rank's PhaseTimers.
 #pragma once
 
 #include <chrono>
@@ -125,7 +126,7 @@ class Tracer {
   }
 
   /// Span that also accumulates into PhaseTimers under `phase` — the
-  /// bench's phase totals and the trace timeline share one clock pair.
+  /// rank's phase totals and the trace timeline share one clock pair.
   Span phase_span(const char* name, const char* category, const char* phase) {
 #ifdef CA_AGCM_OBS_OFF
     if (phase_sink_ == nullptr) return Span{};

@@ -1,6 +1,5 @@
-// Wall-clock timers and a named stopwatch set used by the functional runs
-// to attribute time to the phases the paper reports (collective, stencil
-// communication, computation).
+// Wall-clock timer and the per-rank phase totals that obs:: phase spans
+// feed (collective, exchange, exchange_wait, ...).
 #pragma once
 
 #include <chrono>
@@ -24,25 +23,19 @@ class Timer {
   clock::time_point start_;
 };
 
-/// Accumulates elapsed seconds under string keys.  Not thread-safe; each
-/// logical rank keeps its own.
+/// Accumulates seconds under string keys.  It reads no clock: the only
+/// writer is obs::Tracer::phase_span(), whose spans charge their elapsed
+/// time here, so trace timelines and phase totals share one clock pair.
+/// Not thread-safe; each logical rank keeps its own.
 class PhaseTimers {
  public:
-  void start(const std::string& phase);
-  /// Stops the currently running phase (no-op if none).
-  void stop();
-  /// Adds an externally measured duration (obs:: spans charge their elapsed
-  /// time here so trace timelines and phase totals share one clock pair).
   void add(const std::string& phase, double seconds);
+  /// Seconds accumulated under `phase` (0 for a key never added).
   double total(const std::string& phase) const;
   const std::map<std::string, double>& totals() const { return totals_; }
-  void clear();
 
  private:
   std::map<std::string, double> totals_;
-  std::string active_;
-  Timer timer_;
-  bool running_ = false;
 };
 
 }  // namespace ca::util

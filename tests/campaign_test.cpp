@@ -14,6 +14,7 @@
 #include "core/exchange.hpp"
 #include "core/original_core.hpp"
 #include "core/serial_core.hpp"
+#include "test_temp_dir.hpp"
 
 namespace ca::core {
 namespace {
@@ -70,9 +71,7 @@ TEST(Campaign, ForcingIsApplied) {
 }
 
 TEST(Campaign, CheckpointCadenceDistributed) {
-  const auto prefix = (std::filesystem::temp_directory_path() /
-                       "ca_agcm_campaign")
-                          .string();
+  const auto prefix = test_support::temp_path("campaign");
   comm::Runtime::run(2, [&](comm::Context& ctx) {
     OriginalCore core(cfg(), ctx, DecompScheme::kYZ, {1, 2, 1});
     auto xi = core.make_state();
@@ -126,9 +125,7 @@ TEST(Campaign, ResumeOffsetMatchesStraightRun) {
   all.steps = 4;
   EXPECT_EQ(run_campaign(straight, nullptr, xs, all), 4);
 
-  const auto prefix = (std::filesystem::temp_directory_path() /
-                       "ca_agcm_campaign_resume")
-                          .string();
+  const auto prefix = test_support::temp_path("campaign_resume");
   SerialCore first(c);
   auto xi = first.make_state();
   first.initialize(xi, {.kind = state::InitialCondition::kPlanetaryWave});
@@ -169,9 +166,7 @@ TEST(Campaign, ResumeOffsetMatchesStraightRun) {
 
 TEST(Campaign, YieldStopsAtTheNextCheckpointBoundary) {
   const auto c = cfg();
-  const auto prefix = (std::filesystem::temp_directory_path() /
-                       "ca_agcm_campaign_yield")
-                          .string();
+  const auto prefix = test_support::temp_path("campaign_yield");
   SerialCore core(c);
   auto xi = core.make_state();
   core.initialize(xi, {.kind = state::InitialCondition::kZonalJet});
@@ -207,9 +202,7 @@ TEST(Campaign, YieldStopsAtTheNextCheckpointBoundary) {
 TEST(Campaign, YieldDecisionIsCollective) {
   // Only rank 0 asks to yield; the allreduce must stop BOTH ranks at the
   // same checkpoint (a one-sided stop would deadlock the next exchange).
-  const auto prefix = (std::filesystem::temp_directory_path() /
-                       "ca_agcm_campaign_collective")
-                          .string();
+  const auto prefix = test_support::temp_path("campaign_collective");
   std::array<int, 2> executed{-1, -1};
   comm::Runtime::run(2, [&](comm::Context& ctx) {
     OriginalCore core(cfg(), ctx, DecompScheme::kYZ, {1, 2, 1});
@@ -237,9 +230,7 @@ TEST(Campaign, CAPreemptedAtEveryCheckpointIsBitwise) {
   // freshly constructed core — must land bit-for-bit on the
   // uninterrupted run.
   const auto c = cfg();
-  const auto prefix = (std::filesystem::temp_directory_path() /
-                       "ca_agcm_campaign_ca_resume")
-                          .string();
+  const auto prefix = test_support::temp_path("campaign_ca_resume");
   constexpr int kSteps = 6;
   state::State straight, legged;
 
@@ -321,9 +312,7 @@ TEST(Campaign, CAWithForcingPreemptedAndResumedIsBitwise) {
   // forced interior itself: a resumed run refills them in refresh_halos,
   // and the uninterrupted run has to read the same values.
   const auto c = cfg();
-  const auto prefix = (std::filesystem::temp_directory_path() /
-                       "ca_agcm_campaign_ca_forced_resume")
-                          .string();
+  const auto prefix = test_support::temp_path("campaign_ca_forced_resume");
   constexpr int kSteps = 8;
   constexpr int kYieldStep = 4;
   state::State straight, resumed;
@@ -400,9 +389,7 @@ TEST(Campaign, CheckpointBarrierRunsAtEveryCheckpoint) {
   // the dead rank's).  It must run at EVERY multi-rank checkpoint —
   // final step included, yield callback installed or not — because a
   // death at the last checkpointed step is just as unresumable.
-  const auto prefix = (std::filesystem::temp_directory_path() /
-                       "ca_agcm_campaign_barrier")
-                          .string();
+  const auto prefix = test_support::temp_path("campaign_barrier");
   comm::Runtime::run(2, [&](comm::Context& ctx) {
     OriginalCore core(cfg(), ctx, DecompScheme::kYZ, {1, 2, 1});
     auto xi = core.make_state();

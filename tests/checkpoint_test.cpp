@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <limits>
@@ -15,16 +16,14 @@
 #include "core/ca_core.hpp"
 #include "core/exchange.hpp"
 #include "core/original_core.hpp"
+#include "core/serial_core.hpp"
 #include "util/checkpoint.hpp"
+#include "test_temp_dir.hpp"
 
 namespace ca::util {
 namespace {
 
-std::string temp_prefix(const char* tag) {
-  return (std::filesystem::temp_directory_path() /
-          (std::string("ca_agcm_") + tag))
-      .string();
-}
+using test_support::temp_path;
 
 core::DycoreConfig cfg() {
   core::DycoreConfig c;
@@ -50,7 +49,7 @@ TEST(Checkpoint, RoundTripIsBitwise) {
   for (int j = 0; j < c.ny; ++j)
     for (int i = 0; i < c.nx; ++i) a.psa()(i, j) = 13.75 * i - j;
 
-  const std::string path = temp_prefix("roundtrip") + ".ckpt";
+  const std::string path = temp_path("roundtrip") + ".ckpt";
   write_checkpoint(path, mesh, d, a, 42, 12600.0);
   state::State b(c.nx, c.ny, c.nz, core::halos_for_depth(1));
   const auto hdr = read_checkpoint(path, mesh, d, b);
@@ -66,7 +65,7 @@ TEST(Checkpoint, RejectsWrongMesh) {
   mesh::DomainDecomp d(mesh, {1, 1, 1}, {0, 0, 0});
   state::State a(c.nx, c.ny, c.nz, core::halos_for_depth(1));
   a.fill(1.0);
-  const std::string path = temp_prefix("wrongmesh") + ".ckpt";
+  const std::string path = temp_path("wrongmesh") + ".ckpt";
   write_checkpoint(path, mesh, d, a, 0, 0.0);
 
   mesh::LatLonMesh other(48, 16, 8);
@@ -82,7 +81,7 @@ TEST(Checkpoint, RejectsWrongDecomposition) {
   mesh::DomainDecomp d(mesh, {1, 2, 1}, {0, 0, 0});
   state::State a(c.nx, d.lny(), c.nz, core::halos_for_depth(1));
   a.fill(2.0);
-  const std::string path = temp_prefix("wrongdecomp") + ".ckpt";
+  const std::string path = temp_path("wrongdecomp") + ".ckpt";
   write_checkpoint(path, mesh, d, a, 0, 0.0);
 
   mesh::DomainDecomp other(mesh, {1, 2, 1}, {0, 1, 0});  // other block
@@ -97,7 +96,7 @@ TEST(Checkpoint, RejectsGarbageAndTruncation) {
   mesh::DomainDecomp d(mesh, {1, 1, 1}, {0, 0, 0});
   state::State b(c.nx, c.ny, c.nz, core::halos_for_depth(1));
 
-  const std::string garbage = temp_prefix("garbage") + ".ckpt";
+  const std::string garbage = temp_path("garbage") + ".ckpt";
   {
     std::FILE* f = std::fopen(garbage.c_str(), "wb");
     std::fputs("not a checkpoint at all", f);
@@ -106,7 +105,7 @@ TEST(Checkpoint, RejectsGarbageAndTruncation) {
   EXPECT_THROW(read_checkpoint(garbage, mesh, d, b), std::runtime_error);
   std::remove(garbage.c_str());
 
-  const std::string truncated = temp_prefix("trunc") + ".ckpt";
+  const std::string truncated = temp_path("trunc") + ".ckpt";
   state::State a(c.nx, c.ny, c.nz, core::halos_for_depth(1));
   a.fill(1.0);
   write_checkpoint(truncated, mesh, d, a, 0, 0.0);
@@ -133,7 +132,7 @@ TEST(Checkpoint, DetectsPayloadBitRot) {
   mesh::DomainDecomp d(mesh, {1, 1, 1}, {0, 0, 0});
   state::State a(c.nx, c.ny, c.nz, core::halos_for_depth(1));
   a.fill(3.0);
-  const std::string path = temp_prefix("bitrot") + ".ckpt";
+  const std::string path = temp_path("bitrot") + ".ckpt";
   write_checkpoint(path, mesh, d, a, 5, 600.0);
 
   // Flip one payload bit well past the header.
@@ -166,7 +165,7 @@ TEST(Checkpoint, RejectsRetiredVersions1And2) {
   mesh::DomainDecomp d(mesh, {1, 1, 1}, {0, 0, 0});
   state::State a(c.nx, c.ny, c.nz, core::halos_for_depth(1));
   a.fill(3.0);
-  const std::string path = temp_prefix("retired_version") + ".ckpt";
+  const std::string path = temp_path("retired_version") + ".ckpt";
   for (const std::uint32_t version : {1u, 2u}) {
     SCOPED_TRACE(version);
     write_checkpoint(path, mesh, d, a, 9, 1080.0);
@@ -204,14 +203,14 @@ TEST(Checkpoint, TornWriteLeavesThePreviousCheckpointResumable) {
   state::State s2(c.nx, c.ny, c.nz, core::halos_for_depth(1));
   s2.fill(2.0);
 
-  const std::string path = temp_prefix("torn") + ".ckpt";
+  const std::string path = temp_path("torn") + ".ckpt";
   write_checkpoint(path, mesh, d, s1, 1, 120.0);
   EXPECT_FALSE(std::filesystem::exists(path + ".tmp"))
       << "a successful write must not leave its staging file behind";
 
   // Simulate the crash: a step-2 checkpoint torn halfway through, still
   // under the staging name because the rename never happened.
-  const std::string full2 = temp_prefix("torn_full2") + ".ckpt";
+  const std::string full2 = temp_path("torn_full2") + ".ckpt";
   write_checkpoint(full2, mesh, d, s2, 2, 240.0);
   {
     std::FILE* in = std::fopen(full2.c_str(), "rb");
@@ -251,7 +250,7 @@ TEST(Checkpoint, FailedWriteLeavesThePreviousCheckpointIntact) {
   state::State s1(c.nx, c.ny, c.nz, core::halos_for_depth(1));
   s1.fill(4.0);
 
-  const std::string path = temp_prefix("failwrite") + ".ckpt";
+  const std::string path = temp_path("failwrite") + ".ckpt";
   write_checkpoint(path, mesh, d, s1, 3, 360.0);
   std::filesystem::remove_all(path + ".tmp");
   ASSERT_TRUE(std::filesystem::create_directory(path + ".tmp"));
@@ -283,7 +282,7 @@ TEST(Checkpoint, CarryBlockRoundTripsAndIsCrcGuarded) {
   w.put_doubles(std::span<const double>(field, 4));
   const std::vector<std::byte> blob = w.take();
 
-  const std::string path = temp_prefix("carry") + ".ckpt";
+  const std::string path = temp_path("carry") + ".ckpt";
   write_checkpoint(path, mesh, d, a, 7, 840.0, blob);
 
   state::State b(c.nx, c.ny, c.nz, core::halos_for_depth(1));
@@ -365,7 +364,7 @@ TEST(Checkpoint, WritesAreFsyncedAndCounted) {
   mesh::DomainDecomp d(mesh, {1, 1, 1}, {0, 0, 0});
   state::State a(c.nx, c.ny, c.nz, core::halos_for_depth(1));
   a.fill(1.0);
-  const std::string path = temp_prefix("fsync") + ".ckpt";
+  const std::string path = temp_path("fsync") + ".ckpt";
 
   reset_checkpoint_io();
   write_checkpoint(path, mesh, d, a, 1, 120.0);
@@ -414,7 +413,7 @@ TEST(CheckpointDelta, ChainRoundTripsBitwiseAndRewinds) {
   const auto c = cfg();
   mesh::LatLonMesh mesh(c.nx, c.ny, c.nz);
   mesh::DomainDecomp d(mesh, {1, 1, 1}, {0, 0, 0});
-  const std::string path = temp_prefix("chain") + ".ckpt";
+  const std::string path = temp_path("chain") + ".ckpt";
   remove_chain(path);
 
   // Steps 1..4: a sparse edit per cadence, so deltas stay small.
@@ -465,11 +464,80 @@ TEST(CheckpointDelta, ChainRoundTripsBitwiseAndRewinds) {
   remove_chain(path);
 }
 
+TEST(CheckpointDelta, SteadyStateChainCutsBytesAtLeast3xAndMatchesFullTwin) {
+  // kRestIsothermal is an exact rest state the dycore preserves, so almost
+  // no block goes dirty between cadences: the delta chain must cut the
+  // steady-state checkpoint bytes by at least 3x.  The savings count only
+  // if the chain's tip is the writer's state AND the tip of a twin that
+  // writes a full file every cadence, bit for bit.
+  core::DycoreConfig c;
+  c.nx = 16;
+  c.ny = 16;
+  c.nz = 4;
+  c.M = 2;
+  constexpr int kWarmup = 2;
+  constexpr int kCadences = 8;
+  struct Run {
+    CheckpointWriteStats stats;
+    state::State writer, tip;
+    std::int64_t tip_step = 0;
+  };
+  const auto run = [&](int chain_cap, const char* tag) {
+    core::SerialCore core(c);
+    Run r;
+    r.writer = core.make_state();
+    state::InitialOptions ic;
+    ic.kind = state::InitialCondition::kRestIsothermal;
+    core.initialize(r.writer, ic);
+    core.run(r.writer, kWarmup);
+    const std::string path = temp_path(tag) + ".ckpt";
+    remove_chain(path);
+    CheckpointSession session(
+        path, {.chain_cap = chain_cap, .block_bytes = 4096});
+    for (int cad = 1; cad <= kCadences; ++cad) {
+      core.run(r.writer, 1);
+      session.write(core.mesh(), core.decomp(), r.writer, kWarmup + cad,
+                    120.0 * (kWarmup + cad));
+    }
+    r.stats = session.stats();
+    r.tip = core.make_state();
+    r.tip_step =
+        read_checkpoint_chain(path, core.mesh(), core.decomp(), r.tip)
+            .header.step;
+    remove_chain(path);
+    return r;
+  };
+  const Run full = run(0, "steady_full");
+  const Run chain = run(8, "steady_delta");
+
+  EXPECT_EQ(full.stats.delta_writes, 0u) << "chain cap 0 wrote deltas";
+  EXPECT_EQ(chain.stats.full_equivalent_bytes,
+            full.stats.full_equivalent_bytes);
+  ASSERT_GT(chain.stats.bytes_written, 0u);
+  const double ratio = static_cast<double>(chain.stats.full_equivalent_bytes) /
+                       static_cast<double>(chain.stats.bytes_written);
+  EXPECT_GE(ratio, 3.0) << "steady-state delta chain saved only " << ratio
+                        << "x (" << chain.stats.bytes_written << " of "
+                        << chain.stats.full_equivalent_bytes << " bytes)";
+
+  for (const Run* r : {&full, &chain}) {
+    EXPECT_EQ(r->tip_step, kWarmup + kCadences);
+    EXPECT_EQ(
+        state::State::max_abs_diff(r->writer, r->tip, r->writer.interior()),
+        0.0)
+        << "the tip is not the writer's state";
+  }
+  EXPECT_EQ(state::State::max_abs_diff(full.tip, chain.tip,
+                                       full.tip.interior()),
+            0.0)
+      << "the delta chain's tip diverges from its full-write twin";
+}
+
 TEST(Checkpoint, HealthVerdictRoundTripsInTheHeader) {
   const auto c = cfg();
   mesh::LatLonMesh mesh(c.nx, c.ny, c.nz);
   mesh::DomainDecomp d(mesh, {1, 1, 1}, {0, 0, 0});
-  const std::string path = temp_prefix("health") + ".ckpt";
+  const std::string path = temp_path("health") + ".ckpt";
 
   state::State a = patterned_state(c, 1.0);
   write_checkpoint(path, mesh, d, a, 7, 840.0, {}, /*health=*/1);
@@ -491,7 +559,7 @@ TEST(CheckpointDelta, PoisonedTipRewindsToTheLastHealthyStep) {
   const auto c = cfg();
   mesh::LatLonMesh mesh(c.nx, c.ny, c.nz);
   mesh::DomainDecomp d(mesh, {1, 1, 1}, {0, 0, 0});
-  const std::string path = temp_prefix("poisoned_tip") + ".ckpt";
+  const std::string path = temp_path("poisoned_tip") + ".ckpt";
   remove_chain(path);
 
   CheckpointSession session(path, {.chain_cap = 8, .block_bytes = 4096});
@@ -529,7 +597,7 @@ TEST(CheckpointDelta, ChainCapRewritesAFreshBaseAndDropsStaleDeltas) {
   const auto c = cfg();
   mesh::LatLonMesh mesh(c.nx, c.ny, c.nz);
   mesh::DomainDecomp d(mesh, {1, 1, 1}, {0, 0, 0});
-  const std::string path = temp_prefix("chaincap") + ".ckpt";
+  const std::string path = temp_path("chaincap") + ".ckpt";
   remove_chain(path);
 
   CheckpointSession session(path, {.chain_cap = 2, .block_bytes = 4096});
@@ -556,7 +624,7 @@ TEST(CheckpointDelta, CorruptDeltaFallsBackToTheLastIntactElement) {
   const auto c = cfg();
   mesh::LatLonMesh mesh(c.nx, c.ny, c.nz);
   mesh::DomainDecomp d(mesh, {1, 1, 1}, {0, 0, 0});
-  const std::string path = temp_prefix("chainrot") + ".ckpt";
+  const std::string path = temp_path("chainrot") + ".ckpt";
   remove_chain(path);
 
   CheckpointSession session(path, {.chain_cap = 8, .block_bytes = 4096});
@@ -595,7 +663,7 @@ TEST(CheckpointDelta, TornDeltaFallsBackToTheLastIntactElement) {
   const auto c = cfg();
   mesh::LatLonMesh mesh(c.nx, c.ny, c.nz);
   mesh::DomainDecomp d(mesh, {1, 1, 1}, {0, 0, 0});
-  const std::string path = temp_prefix("chaintorn") + ".ckpt";
+  const std::string path = temp_path("chaintorn") + ".ckpt";
   remove_chain(path);
 
   CheckpointSession session(path, {.chain_cap = 8, .block_bytes = 4096});
@@ -627,7 +695,7 @@ TEST(CheckpointDelta, StaleDeltasFromAnOldBaseAreIgnored) {
   const auto c = cfg();
   mesh::LatLonMesh mesh(c.nx, c.ny, c.nz);
   mesh::DomainDecomp d(mesh, {1, 1, 1}, {0, 0, 0});
-  const std::string path = temp_prefix("chainstale") + ".ckpt";
+  const std::string path = temp_path("chainstale") + ".ckpt";
   remove_chain(path);
 
   {
@@ -668,7 +736,7 @@ TEST(CheckpointDelta, AllDirtyCadenceDegeneratesToAFullBase) {
   const auto c = cfg();
   mesh::LatLonMesh mesh(c.nx, c.ny, c.nz);
   mesh::DomainDecomp d(mesh, {1, 1, 1}, {0, 0, 0});
-  const std::string path = temp_prefix("chaindense") + ".ckpt";
+  const std::string path = temp_path("chaindense") + ".ckpt";
   remove_chain(path);
 
   CheckpointSession session(path, {.chain_cap = 8, .block_bytes = 4096});
@@ -679,7 +747,7 @@ TEST(CheckpointDelta, AllDirtyCadenceDegeneratesToAFullBase) {
   EXPECT_FALSE(std::filesystem::exists(delta_path(path, 1)));
 
   // And the full file stays bitwise identical to write_checkpoint's.
-  const std::string ref = temp_prefix("chaindense_ref") + ".ckpt";
+  const std::string ref = temp_path("chaindense_ref") + ".ckpt";
   write_checkpoint(ref, mesh, d, patterned_state(c, 1.0), 2, 240.0);
   std::FILE* fa = std::fopen(path.c_str(), "rb");
   std::FILE* fb = std::fopen(ref.c_str(), "rb");
@@ -706,7 +774,7 @@ TEST(CheckpointDelta, FreshBaseSweepsDeltasPastAHole) {
   const auto c = cfg();
   mesh::LatLonMesh mesh(c.nx, c.ny, c.nz);
   mesh::DomainDecomp d(mesh, {1, 1, 1}, {0, 0, 0});
-  const std::string path = temp_prefix("chainhole") + ".ckpt";
+  const std::string path = temp_path("chainhole") + ".ckpt";
   remove_chain(path);
 
   state::State s = patterned_state(c, 0.0);
@@ -787,7 +855,7 @@ void remove_set(const std::string& prefix) {
 TEST(CheckpointReshard, CrashBeforeCommitLeavesTheOldSetResumable) {
   const auto c = cfg();
   mesh::LatLonMesh mesh(c.nx, c.ny, c.nz);
-  const std::string prefix = temp_prefix("reshard_precommit");
+  const std::string prefix = temp_path("reshard_precommit");
   remove_set(prefix);
   write_split_set(prefix, mesh, 5, 1.0);
 
@@ -823,7 +891,7 @@ TEST(CheckpointReshard, CrashBeforeCommitLeavesTheOldSetResumable) {
 TEST(CheckpointReshard, CrashAfterCommitRollsForward) {
   const auto c = cfg();
   mesh::LatLonMesh mesh(c.nx, c.ny, c.nz);
-  const std::string prefix = temp_prefix("reshard_committed");
+  const std::string prefix = temp_path("reshard_committed");
   remove_set(prefix);
   write_split_set(prefix, mesh, 6, 2.0);
 
@@ -850,7 +918,7 @@ TEST(CheckpointReshard, CrashAfterCommitRollsForward) {
 TEST(CheckpointReshard, CrashMidPublishRollsForwardIdempotently) {
   const auto c = cfg();
   mesh::LatLonMesh mesh(c.nx, c.ny, c.nz);
-  const std::string prefix = temp_prefix("reshard_midpublish");
+  const std::string prefix = temp_path("reshard_midpublish");
   remove_set(prefix);
   write_split_set(prefix, mesh, 7, 3.0);
 
@@ -884,7 +952,7 @@ TEST(CheckpointReshard, CrashMidPublishRollsForwardIdempotently) {
 TEST(Checkpoint, RestartedDistributedRunIsIdentical) {
   // run 4 steps == run 2, checkpoint, restore into fresh cores, run 2.
   const auto c = cfg();
-  const std::string prefix = temp_prefix("restart");
+  const std::string prefix = temp_path("restart");
   state::State straight, restarted;
 
   comm::Runtime::run(2, [&](comm::Context& ctx) {
@@ -1046,7 +1114,7 @@ TEST(CheckpointReshard, CACarryReshardMatrixIsBitwise) {
     ASSERT_GT(ref.interior().volume(), 0);
     for (int s = 1; s < kSteps; ++s) {  // every checkpoint step
       const std::string prefix =
-          temp_prefix("ca_reshard_matrix") + std::to_string(s);
+          temp_path("ca_reshard_matrix") + std::to_string(s);
       remove_set(prefix);
       ca_run_and_checkpoint(c, m.from, prefix, s);
       reshard_checkpoints(prefix, mesh, m.from, m.to);
@@ -1081,7 +1149,7 @@ TEST(CheckpointReshard, CACarryPzCrossingReshardStaysInRoundOffClass) {
   for (const Move& m : moves)
     for (int s = 1; s < kSteps; ++s) {
       const std::string prefix =
-          temp_prefix("ca_reshard_zcross") + std::to_string(s);
+          temp_path("ca_reshard_zcross") + std::to_string(s);
       remove_set(prefix);
       ca_run_and_checkpoint(c, m.from, prefix, s);
       reshard_checkpoints(prefix, mesh, m.from, m.to);
@@ -1100,7 +1168,7 @@ TEST(CheckpointReshard, CACarryCrashMidReshardRollsForwardBitwise) {
   const auto c = ca_cfg();
   mesh::LatLonMesh mesh(c.nx, c.ny, c.nz);
   constexpr int kSteps = 4, kAt = 2;
-  const std::string prefix = temp_prefix("ca_reshard_crash");
+  const std::string prefix = temp_path("ca_reshard_crash");
   remove_set(prefix);
   ca_run_and_checkpoint(c, {1, 2, 1}, prefix, kAt);
 
@@ -1127,7 +1195,7 @@ TEST(CheckpointReshard, CACarryBelowMinimumBlockFailsLoudly) {
   // and leave the old set intact.
   const auto c = ca_cfg();
   mesh::LatLonMesh mesh(c.nx, c.ny, c.nz);
-  const std::string prefix = temp_prefix("ca_reshard_toosmall");
+  const std::string prefix = temp_path("ca_reshard_toosmall");
   remove_set(prefix);
   ca_run_and_checkpoint(c, {1, 1, 1}, prefix, 1);
   EXPECT_THROW(reshard_checkpoints(prefix, mesh, {1, 1, 1}, {1, 3, 1}),
@@ -1145,7 +1213,7 @@ TEST(CheckpointReshard, OpaqueOrMixedCarryFailsLoudly) {
 
   // Opaque: a carry block with an unknown magic cannot be redistributed.
   {
-    const std::string prefix = temp_prefix("reshard_opaque");
+    const std::string prefix = temp_path("reshard_opaque");
     remove_set(prefix);
     CarryWriter w;
     w.put_u64(0xDEADBEEFull);  // not kReshardableCarryMagic
@@ -1165,7 +1233,7 @@ TEST(CheckpointReshard, OpaqueOrMixedCarryFailsLoudly) {
   {
     const auto cc = ca_cfg();
     mesh::LatLonMesh m2(cc.nx, cc.ny, cc.nz);
-    const std::string prefix = temp_prefix("reshard_mixed");
+    const std::string prefix = temp_path("reshard_mixed");
     remove_set(prefix);
     ca_run_and_checkpoint(cc, {1, 2, 1}, prefix, 1);
     // Rewrite rank 1's file without its carry block.

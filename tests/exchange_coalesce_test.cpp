@@ -2,12 +2,13 @@
 // a single message must be invisible to the numerics (bitwise-identical
 // final states, with and without fault injection), must strictly reduce
 // message counts, and — together with the filter workspace — must reach an
-// allocation-free steady state after one warm-up step.
+// allocation-free steady state after warm-up on every core.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstdint>
 #include <mutex>
+#include <string>
 
 #include "comm/fault.hpp"
 #include "comm/runtime.hpp"
@@ -162,32 +163,59 @@ TEST(CoalescedExchange, BitwiseIdenticalUnderFaultPlan) {
 }
 
 TEST(SteadyState, ExchangePoolsStopGrowingAfterWarmup) {
-  for (bool coalesce : {false, true}) {
-    comm::Runtime::run(4, [&](comm::Context& ctx) {
-      DycoreConfig cfg = test_config();
-      cfg.coalesce_exchange = coalesce;
-      CACore core(cfg, ctx, {1, 4, 1});
-      auto xi = core.make_state();
-      state::InitialOptions opt;
-      opt.kind = state::InitialCondition::kPlanetaryWave;
-      core.initialize(xi, opt);
-      // Warm-up: two steps, because the CA core's first step exchanges a
-      // smaller item set (no previous state yet) — capacities converge
-      // once every exchange shape has run once.
-      core.step(xi);
-      core.step(xi);
-      const std::uint64_t allocs = ctx.stats().pool().allocations;
-      const std::uint64_t reuses = ctx.stats().pool().reuses;
-      EXPECT_GT(allocs, 0u) << "warm-up must have populated the pools";
-      core.step(xi);
-      core.step(xi);
-      EXPECT_EQ(ctx.stats().pool().allocations, allocs)
-          << (coalesce ? "coalesced" : "per-item")
-          << " exchange grew a pool buffer after warm-up";
-      EXPECT_GT(ctx.stats().pool().reuses, reuses)
-          << "steady-state steps must be served from the pools";
-      core.finalize(xi);
-    });
+  // Every core x decomposition that exchanges halos, in both granularities.
+  const struct {
+    const char* label;
+    bool ca;
+    DecompScheme scheme;
+    std::array<int, 3> dims;
+  } cases[] = {
+      {"ca_yz_1x4x1", true, DecompScheme::kYZ, {1, 4, 1}},
+      {"original_yz_1x4x1", false, DecompScheme::kYZ, {1, 4, 1}},
+      {"original_xy_4x1x1", false, DecompScheme::kXY, {4, 1, 1}},
+      {"original_yz_1x2x2", false, DecompScheme::kYZ, {1, 2, 2}},
+  };
+  for (const auto& c : cases) {
+    for (bool coalesce : {false, true}) {
+      // Named in each message: the checks run on the rank threads, where
+      // a SCOPED_TRACE of this thread would not show.
+      const std::string what =
+          std::string(c.label) + (coalesce ? " coalesced" : " per-item");
+      const int p = c.dims[0] * c.dims[1] * c.dims[2];
+      comm::Runtime::run(p, [&](comm::Context& ctx) {
+        DycoreConfig cfg = test_config();
+        cfg.coalesce_exchange = coalesce;
+        const auto drive = [&](auto& core) {
+          auto xi = core.make_state();
+          state::InitialOptions opt;
+          opt.kind = state::InitialCondition::kPlanetaryWave;
+          core.initialize(xi, opt);
+          // Warm-up: two steps, because the CA core's first step exchanges
+          // a smaller item set (no previous state yet) — capacities
+          // converge once every exchange shape has run once.
+          core.step(xi);
+          core.step(xi);
+          const std::uint64_t allocs = ctx.stats().pool().allocations;
+          const std::uint64_t reuses = ctx.stats().pool().reuses;
+          EXPECT_GT(allocs, 0u)
+              << what << ": warm-up must have populated the pools";
+          core.step(xi);
+          core.step(xi);
+          EXPECT_EQ(ctx.stats().pool().allocations, allocs)
+              << what << ": exchange grew a pool buffer after warm-up";
+          EXPECT_GT(ctx.stats().pool().reuses, reuses)
+              << what << ": steady-state steps must be served from the pools";
+          if constexpr (requires { core.finalize(xi); }) core.finalize(xi);
+        };
+        if (c.ca) {
+          CACore core(cfg, ctx, c.dims);
+          drive(core);
+        } else {
+          OriginalCore core(cfg, ctx, c.scheme, c.dims);
+          drive(core);
+        }
+      });
+    }
   }
 }
 

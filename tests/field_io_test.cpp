@@ -9,6 +9,7 @@
 #include "state/vertical_interp.hpp"
 #include "util/field_io.hpp"
 #include "util/math.hpp"
+#include "test_temp_dir.hpp"
 
 namespace ca {
 namespace {
@@ -92,9 +93,7 @@ TEST(FieldIo, RoundTrip) {
   util::Array2D<double> f(6, 4);
   for (int j = 0; j < 4; ++j)
     for (int i = 0; i < 6; ++i) f(i, j) = 0.5 * i - 1.25 * j;
-  const auto path = (std::filesystem::temp_directory_path() /
-                     "ca_agcm_field_io_test.txt")
-                        .string();
+  const auto path = test_support::temp_path("field_io_test.txt");
   util::write_text_field(path, "test field", f);
   auto g = util::read_text_field(path);
   ASSERT_EQ(g.nx(), 6);
@@ -109,9 +108,7 @@ TEST(FieldIo, WriteLevelOf3D) {
   for (int k = 0; k < 2; ++k)
     for (int j = 0; j < 3; ++j)
       for (int i = 0; i < 5; ++i) f(i, j, k) = i + 10 * j + 100 * k;
-  const auto path = (std::filesystem::temp_directory_path() /
-                     "ca_agcm_field_io_level.txt")
-                        .string();
+  const auto path = test_support::temp_path("field_io_level.txt");
   util::write_text_level(path, "level 1", f, 1);
   auto g = util::read_text_field(path);
   for (int j = 0; j < 3; ++j)
@@ -120,7 +117,7 @@ TEST(FieldIo, WriteLevelOf3D) {
 }
 
 TEST(FieldIo, MalformedFilesThrow) {
-  const auto dir = std::filesystem::temp_directory_path();
+  const auto dir = test_support::temp_root();
   const auto bad1 = (dir / "ca_agcm_bad1.txt").string();
   {
     std::ofstream out(bad1);

@@ -28,6 +28,7 @@
 #include "state/state.hpp"
 #include "util/checkpoint.hpp"
 #include "util/json.hpp"
+#include "test_temp_dir.hpp"
 
 namespace ca::service {
 namespace {
@@ -46,13 +47,7 @@ core::DycoreConfig health_config() {
   return c;
 }
 
-std::string temp_dir(const char* tag) {
-  const auto p = std::filesystem::temp_directory_path() /
-                 (std::string("ca_numeric_health_") + tag);
-  std::filesystem::remove_all(p);
-  std::filesystem::create_directories(p);
-  return p.string();
-}
+using test_support::temp_dir;
 
 /// One corrupt_state rule: poke `field` (0=u 1=v 2=phi 3=psa) with `mode`
 /// (0=NaN 1=Inf 2=out-of-bounds 1e30) on rank `rank` after the step with

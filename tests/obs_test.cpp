@@ -23,17 +23,12 @@
 #include "obs/trace.hpp"
 #include "state/state.hpp"
 #include "util/json.hpp"
+#include "test_temp_dir.hpp"
 
 namespace ca::obs {
 namespace {
 
-std::string temp_dir(const std::string& tag) {
-  const auto dir = std::filesystem::temp_directory_path() /
-                   ("ca_agcm_obs_" + tag);
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir.string();
-}
+using test_support::temp_dir;
 
 // --- metrics registry -------------------------------------------------------
 

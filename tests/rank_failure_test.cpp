@@ -31,6 +31,7 @@
 #include "util/checkpoint.hpp"
 #include "util/config.hpp"
 #include "util/json.hpp"
+#include "test_temp_dir.hpp"
 
 namespace ca {
 namespace {
@@ -170,11 +171,7 @@ TEST(RankFailureComm, KilledRankLeavesPerRankFlightDumps) {
   // The flight recorder: when a rank dies mid-run, every rank's last
   // events must land in obs_dump_rank<r>.json — the victim's dump ends at
   // its injected kill, the survivor's records the detection.
-  const std::string dir = (std::filesystem::temp_directory_path() /
-                           "ca_agcm_flight_kill")
-                              .string();
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
+  const std::string dir = test_support::temp_dir("flight_kill");
   comm::FaultPlan plan(3);
   plan.add_rule(step_rule(comm::FaultKind::kKillRank, /*src=*/0, /*step=*/1));
   comm::RunOptions opts;
@@ -288,13 +285,7 @@ core::DycoreConfig small_config() {
   return c;
 }
 
-std::string temp_dir(const std::string& tag) {
-  const auto p =
-      std::filesystem::temp_directory_path() / ("ca_rank_failure_" + tag);
-  std::filesystem::remove_all(p);
-  std::filesystem::create_directories(p);
-  return p.string();
-}
+using test_support::temp_dir;
 
 state::State solo_run(svc::JobSpec spec, const std::string& prefix) {
   spec.faults = comm::FaultPlan();

@@ -19,6 +19,7 @@
 #include "service/service.hpp"
 #include "state/state.hpp"
 #include "util/checkpoint.hpp"
+#include "test_temp_dir.hpp"
 
 namespace ca::service {
 namespace {
@@ -61,12 +62,7 @@ core::CAOptions exact_ca_options() {
   return o;
 }
 
-std::string temp_dir(const char* tag) {
-  const auto p = std::filesystem::temp_directory_path() /
-                 (std::string("ca_service_soak_") + tag);
-  std::filesystem::create_directories(p);
-  return p.string();
-}
+using test_support::temp_dir;
 
 /// Solo reference: the same spec run once, uninterrupted and fault-free,
 /// through the identical attempt machinery the service uses.

@@ -15,6 +15,7 @@
 #include "service/scheduler.hpp"
 #include "service/service.hpp"
 #include "util/config.hpp"
+#include "test_temp_dir.hpp"
 
 namespace ca::service {
 namespace {
@@ -277,7 +278,7 @@ TEST(Service, SweepsStaleTmpCheckpointsAtStartup) {
   // atomic write in flight (two services can share a checkpoint_dir —
   // the default is "."), so the sweep is age-gated and must keep it.
   namespace fs = std::filesystem;
-  const auto dir = fs::temp_directory_path() / "ca_service_tmp_sweep";
+  const auto dir = test_support::temp_root() / "ca_service_tmp_sweep";
   fs::remove_all(dir);
   fs::create_directories(dir);
   const auto stale = dir / "ca_service_job0.rank0.ckpt.tmp";
@@ -307,7 +308,7 @@ TEST(Report, OnlyTheCurrentSchemaValidates) {
   ServiceOptions opt;
   opt.slots = 1;
   opt.rank_budget = 1;
-  opt.checkpoint_dir = std::filesystem::temp_directory_path().string();
+  opt.checkpoint_dir = test_support::temp_root().string();
   EnsembleService svc(opt);
   svc.submit(tiny_spec());
   svc.drain();
@@ -336,7 +337,7 @@ TEST(Service, RejectsInvalidSubmit) {
   opt.slots = 1;
   opt.rank_budget = 2;
   opt.checkpoint_dir =
-      std::filesystem::temp_directory_path().string();
+      test_support::temp_root().string();
   EnsembleService svc(opt);
   JobSpec bad = tiny_spec();
   bad.steps = -1;
@@ -349,7 +350,7 @@ TEST(Service, ReportValidatesAgainstItsSchema) {
   opt.slots = 2;
   opt.rank_budget = 2;
   opt.checkpoint_dir =
-      std::filesystem::temp_directory_path().string();
+      test_support::temp_root().string();
   EnsembleService svc(opt);
   JobSpec s = tiny_spec();
   s.steps = 2;
@@ -379,7 +380,7 @@ TEST(Service, CreatesTheCheckpointDirectory) {
   // A missing checkpoint directory must not make preemptible jobs burn
   // their attempt budget on fopen failures: the pool materializes it.
   const auto root =
-      std::filesystem::temp_directory_path() / "ca_service_ckpt_dir";
+      test_support::temp_root() / "ca_service_ckpt_dir";
   std::filesystem::remove_all(root);
   ServiceOptions opt;
   opt.slots = 1;
@@ -405,7 +406,7 @@ TEST(Service, ResultTakesTheFinalStateExactlyOnce) {
   opt.slots = 1;
   opt.rank_budget = 1;
   opt.checkpoint_dir =
-      std::filesystem::temp_directory_path().string();
+      test_support::temp_root().string();
   EnsembleService svc(opt);
   JobSpec s = tiny_spec();
   s.steps = 2;
@@ -433,7 +434,7 @@ TEST(Service, NonBlockingSubmitBackpressure) {
   opt.rank_budget = 1;
   opt.queue_capacity = 1;
   opt.checkpoint_dir =
-      std::filesystem::temp_directory_path().string();
+      test_support::temp_root().string();
   EnsembleService svc(opt);
   JobSpec s = tiny_spec();
   s.steps = 200;  // long enough to keep the single slot busy

@@ -330,18 +330,32 @@ TEST(Timer, MeasuresElapsed) {
   EXPECT_LT(t.seconds(), 0.005);
 }
 
-TEST(PhaseTimers, AccumulatesByPhase) {
+TEST(PhaseTimers, AddSumsExactlyPerKey) {
   PhaseTimers pt;
-  pt.start("a");
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  pt.start("b");  // implicitly stops "a"
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  pt.stop();
-  EXPECT_GE(pt.total("a"), 0.002);
-  EXPECT_GE(pt.total("b"), 0.002);
-  EXPECT_DOUBLE_EQ(pt.total("c"), 0.0);
-  pt.clear();
-  EXPECT_DOUBLE_EQ(pt.total("a"), 0.0);
+  pt.add("a", 0.25);
+  pt.add("b", 1.5);
+  pt.add("a", 0.5);
+  EXPECT_EQ(pt.total("a"), 0.75);  // dyadic values: exact, not approximate
+  EXPECT_EQ(pt.total("b"), 1.5);
+  EXPECT_EQ(pt.total("never_added"), 0.0);
+  EXPECT_EQ(pt.totals().size(), 2u) << "reading a key must not create it";
+}
+
+TEST(PhaseTimers, PhaseSpansLandInTheRanksTimers) {
+  comm::Runtime::run(1, [](comm::Context& ctx) {
+    const PhaseTimers& pt = ctx.timers();
+    const std::size_t keys = pt.totals().size();
+    const double t0 = obs::Tracer::now_us();
+    { obs::Span s = ctx.tracer().phase_span("probe", "test", "test_phase"); }
+    const double t1 = obs::Tracer::now_us();
+    { obs::Span s = ctx.tracer().span("trace_only", "test"); }
+    // The span's own clock reads lie inside [t0, t1], so its charge does.
+    EXPECT_EQ(pt.totals().size(), keys + 1)
+        << "the phase span adds its key; a trace-only span adds none";
+    EXPECT_EQ(pt.totals().count("test_phase"), 1u);
+    EXPECT_GE(pt.total("test_phase"), 0.0);
+    EXPECT_LE(pt.total("test_phase"), (t1 - t0) * 1e-6);
+  });
 }
 
 TEST(Math, FloorDivAndMod) {
