@@ -152,11 +152,8 @@ double AdaptationTerms::tend_u(int i, int j, int k) const {
 
 double AdaptationTerms::tend_v(int i, int j, int k) const {
   // dv/dt = +f u for the antisymmetric (energy-conserving) pair; the
-  // paper's printed -f*U makes the pair symmetric (a typo) and is
-  // restored by coriolis_paper_sign.
-  const double sign = ctx_->params.coriolis_paper_sign ? -1.0 : 1.0;
-  return -p_theta1(i, j, k) - p_theta2(i, j, k) +
-         sign * coriolis_v(i, j, k);
+  // paper's printed -f*U makes the pair symmetric (a typo, DESIGN.md §2).
+  return -p_theta1(i, j, k) - p_theta2(i, j, k) + coriolis_v(i, j, k);
 }
 
 double AdaptationTerms::tend_phi(int i, int j, int k) const {

@@ -34,10 +34,6 @@ struct ModelParams {
   /// terms (2 or 4).  4 reproduces the Tables 1-2 footprints; 2 is the
   /// exactly skew-symmetric variant used by conservation tests.
   int x_order = 4;
-  /// Paper eq. (2) literally writes -f*V in the U equation; the
-  /// antisymmetric pair (+f*V, -f*U) conserves kinetic energy and is the
-  /// default (see DESIGN.md).
-  bool coriolis_paper_sign = false;
 };
 
 struct OpContext {

@@ -22,18 +22,14 @@ double ring_allreduce_time(const MachineModel& m, int p, std::size_t bytes);
 double recursive_doubling_allreduce_time(const MachineModel& m, int p,
                                          std::size_t bytes);
 
-/// Cost-optimal allreduce choice (mirrors comm::allreduce kAuto).
+/// The cheaper of ring and recursive doubling, by modeled time.  This is
+/// NOT comm::allreduce's kAuto, which picks by length alone (ring once
+/// the vector has at least 4p elements).  At tianhe2(), pz = 8 and a
+/// 34,560-byte z-allreduce the model charges recursive doubling
+/// (0.925 ms) where the runtime runs the ring (2.622 ms in this model),
+/// and the schedule builders' emit_c_collectives charges this time with
+/// the ring's byte volume.
 double allreduce_time(const MachineModel& m, int p, std::size_t bytes);
-
-/// Binomial broadcast.
-double bcast_time(const MachineModel& m, int p, std::size_t bytes);
-
-/// Distributed 1-D FFT of an n-point line spread over p ranks using
-/// butterfly exchanges: log2(p) rounds each moving the local slab, plus
-/// the local n/p log2(n) butterfly work.  `lines` independent transforms
-/// share the rounds (messages are aggregated per round).
-double distributed_fft_time(const MachineModel& m, int p, std::size_t n,
-                            std::size_t lines);
 
 /// Bytes a rank sends during a ring allreduce (for volume accounting).
 std::size_t ring_allreduce_bytes(int p, std::size_t bytes);

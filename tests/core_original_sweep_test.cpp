@@ -1,6 +1,6 @@
-// Configuration sweeps of the original cores: M, vertical stretching, the
-// literal paper Coriolis signs, and scheme coverage with physics — broad
-// smoke + equivalence coverage beyond the focused tests.
+// Configuration sweeps of the original cores: M, vertical stretching, and
+// scheme coverage with physics — broad smoke + equivalence coverage beyond
+// the focused tests.
 #include <gtest/gtest.h>
 
 #include "comm/runtime.hpp"
@@ -69,30 +69,6 @@ INSTANTIATE_TEST_SUITE_P(Configs, OriginalSweep,
                                            SweepCase{4, false, 4},
                                            SweepCase{2, true, 2}),
                          case_name);
-
-TEST(OriginalOptions, PaperCoriolisSignRunsButDiffers) {
-  // The literal printed signs (symmetric pair) still integrate stably at
-  // small dt but produce a measurably different trajectory.
-  DycoreConfig cfg = make({2, false, 4});
-  state::InitialOptions opt;
-  opt.kind = state::InitialCondition::kZonalJet;
-
-  SerialCore a(cfg);
-  auto xa = a.make_state();
-  a.initialize(xa, opt);
-  a.run(xa, 3);
-
-  cfg.params.coriolis_paper_sign = true;
-  SerialCore b(cfg);
-  auto xb = b.make_state();
-  b.initialize(xb, opt);
-  b.run(xb, 3);
-
-  const double diff = state::State::max_abs_diff(xa, xb, xa.interior());
-  EXPECT_GT(diff, 1e-6) << "the sign convention must matter";
-  const auto d = local_diagnostics(b.op_context(), xb);
-  EXPECT_TRUE(std::isfinite(d.total_energy()));
-}
 
 TEST(OriginalOptions, XYWithPhysicsRunsStably) {
   DycoreConfig cfg = make({2, false, 4});
