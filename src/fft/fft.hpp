@@ -1,8 +1,12 @@
-// Fast Fourier transform for arbitrary length n: iterative radix-2 with
-// precomputed twiddles for powers of two, Bluestein's chirp-z algorithm
-// otherwise (n_x = 720 in the 50 km model is 2^4 * 3^2 * 5).  A Plan
-// precomputes everything for a fixed n and is reused across latitude
-// circles and time steps.
+// Fast Fourier transform for arbitrary length n.  Lengths of the form
+// 2^a 3^b 5^c (every length the dycore uses: 16, 48, 360, the paper's
+// 720) run a direct mixed-radix Stockham transform with radix-4, -2, -3
+// and -5 stages; any other length runs Bluestein's chirp-z algorithm,
+// whose circular convolution uses the same direct transform at the
+// smallest 2^a 3^b 5^c length >= 2n - 1.  A Plan precomputes the stage
+// list and every twiddle for a fixed n and is reused across latitude
+// circles and time steps.  Inverses use the identity
+// F^-1(x) = conj(F(conj(x))) / n, so one forward kernel serves both.
 #pragma once
 
 #include <complex>
@@ -25,30 +29,34 @@ class Plan {
   /// In-place inverse transform (normalized by 1/n).
   void inverse(std::span<cplx> data) const;
 
-  /// Scratch elements one transform needs (Bluestein working buffer;
-  /// zero for power-of-two lengths).  The scratch overloads below are
+  /// Scratch elements one transform needs: the Stockham ping-pong buffer
+  /// (n; zero for n = 1), or for Bluestein the padded convolution buffer
+  /// plus its ping-pong buffer.  The scratch overloads below are
   /// allocation-free when given a caller-owned buffer of this size.
-  std::size_t scratch_size() const { return pow2_ ? 0 : m_; }
+  std::size_t scratch_size() const;
   void forward(std::span<cplx> data, std::span<cplx> scratch) const;
   void inverse(std::span<cplx> data, std::span<cplx> scratch) const;
 
  private:
-  void transform(std::span<cplx> data, bool inv,
-                 std::span<cplx> scratch) const;
+  /// One Stockham pass: `radix`-point butterflies over `m` twiddle groups
+  /// of `stride` contiguous sub-transforms; its twiddles start at
+  /// twiddles_[twiddle].
+  struct Stage {
+    std::size_t radix, m, stride, twiddle;
+  };
+
+  /// Forward transform of length len_ from `data` back into `data`;
+  /// `work` holds len_ elements.
+  void stockham(cplx* data, cplx* work) const;
 
   std::size_t n_ = 0;
-  bool pow2_ = false;
+  std::size_t len_ = 0;  // direct-transform length: n_, or Bluestein's m
+  std::vector<Stage> stages_;
+  std::vector<cplx> twiddles_;
 
-  // Radix-2 machinery (for n_ or the Bluestein convolution length m_).
-  std::size_t m_ = 0;  // power-of-two working length
-  std::vector<std::size_t> bitrev_;
-  std::vector<cplx> twiddles_;  // forward twiddles for length m_
-
-  // Bluestein chirp data (empty when n_ is a power of two).
+  // Bluestein chirp data (empty when n_ is 2^a 3^b 5^c).
   std::vector<cplx> chirp_;      // exp(-i*pi*k^2/n)
-  std::vector<cplx> b_forward_;  // FFT_m of the chirp kernel
-
-  void radix2(std::span<cplx> data, bool inv) const;
+  std::vector<cplx> b_forward_;  // FFT_len of the chirp kernel, / len_
 };
 
 /// Convenience one-shot transforms (allocate a Plan internally).
@@ -56,7 +64,8 @@ void fft(std::span<cplx> data, bool inverse = false);
 
 /// Real-input transform via the N/2 complex-FFT trick (even n only):
 /// packs adjacent real pairs into complex values, transforms, and
-/// unpacks with the split formula.  spectrum has n/2+1 bins (DC..Nyquist).
+/// unpacks with the split formula, whose twiddles W_n^k are precomputed.
+/// spectrum has n/2+1 bins (DC..Nyquist).
 class RealPlan {
  public:
   explicit RealPlan(std::size_t n);
@@ -82,6 +91,7 @@ class RealPlan {
  private:
   std::size_t n_ = 0;
   Plan half_;
+  std::vector<cplx> split_;  // W_n^k = exp(-2*pi*i*k/n), k in [0, n/2]
 };
 
 }  // namespace ca::fft

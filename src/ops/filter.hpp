@@ -93,7 +93,9 @@ class FourierFilter {
   int nx_ = 0;
   int ny_ = 0;
   double band_ = 0.0;
-  double aspect_ = 0.0;  ///< nx / (2 ny)
+  /// (nx / (2 ny)) / sin(pi m / nx) for m = 1..nx/2 at index m-1: a row's
+  /// damping of wavenumber m is min(1, sin(theta) * damp_[m-1]).
+  std::vector<double> damp_;
   mutable Workspace ws_;
 };
 

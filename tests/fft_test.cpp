@@ -80,8 +80,10 @@ TEST_P(FftSizeSweep, ParsevalHolds) {
               1e-8 * time_energy * static_cast<double>(n));
 }
 
-// Sizes: powers of two (radix-2 path), primes, composites, and the paper's
-// n_x = 720.
+// Sizes: powers of two (radix-4/2 stages), primes and 17 (the Bluestein
+// half-line of nx = 34) on the Bluestein path, 2/3/5 composites with
+// radix-3- and radix-5-heavy ones (27, 75, 125), 48 (the hs_ca half-line),
+// the paper's n_x = 720, and the large 180 and 1024.
 INSTANTIATE_TEST_SUITE_P(Sizes, FftSizeSweep,
                          ::testing::Values(std::size_t{1}, std::size_t{2},
                                            std::size_t{4}, std::size_t{8},
@@ -91,7 +93,11 @@ INSTANTIATE_TEST_SUITE_P(Sizes, FftSizeSweep,
                                            std::size_t{12}, std::size_t{30},
                                            std::size_t{45}, std::size_t{100},
                                            std::size_t{360},
-                                           std::size_t{720}),
+                                           std::size_t{720}, std::size_t{48},
+                                           std::size_t{17}, std::size_t{27},
+                                           std::size_t{75}, std::size_t{125},
+                                           std::size_t{180},
+                                           std::size_t{1024}),
                          [](const ::testing::TestParamInfo<std::size_t>& i) {
                            return "n" + std::to_string(i.param);
                          });
@@ -183,6 +189,26 @@ TEST_P(RealFftSweep, MatchesComplexTransform) {
   }
 }
 
+TEST_P(RealFftSweep, MatchesReferenceDft) {
+  const std::size_t n = GetParam();
+  std::mt19937 rng(23 + static_cast<unsigned>(n));
+  std::uniform_real_distribution<double> dist(-1.0, 1.0);
+  std::vector<double> x(n);
+  for (auto& v : x) v = dist(rng);
+
+  std::vector<cplx> in(n), ref(n);
+  for (std::size_t i = 0; i < n; ++i) in[i] = cplx{x[i], 0.0};
+  dft(in, ref, /*inverse=*/false);
+
+  RealPlan rplan(n);
+  std::vector<cplx> spec(n / 2 + 1);
+  rplan.forward(x, spec);
+  for (std::size_t k = 0; k <= n / 2; ++k) {
+    EXPECT_NEAR(spec[k].real(), ref[k].real(), 1e-9 * n) << "k=" << k;
+    EXPECT_NEAR(spec[k].imag(), ref[k].imag(), 1e-9 * n) << "k=" << k;
+  }
+}
+
 TEST_P(RealFftSweep, RoundTripIsIdentity) {
   const std::size_t n = GetParam();
   std::mt19937 rng(29 + static_cast<unsigned>(n));
@@ -202,7 +228,9 @@ INSTANTIATE_TEST_SUITE_P(Sizes, RealFftSweep,
                                            std::size_t{8}, std::size_t{64},
                                            std::size_t{6}, std::size_t{10},
                                            std::size_t{90},
-                                           std::size_t{720}),
+                                           std::size_t{720}, std::size_t{96},
+                                           std::size_t{32}, std::size_t{34},
+                                           std::size_t{360}),
                          [](const ::testing::TestParamInfo<std::size_t>& i) {
                            return "n" + std::to_string(i.param);
                          });

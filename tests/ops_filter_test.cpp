@@ -3,11 +3,13 @@
 // path's agreement with the local one.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "comm/runtime.hpp"
 #include "comm/topology.hpp"
 #include "core/dycore_config.hpp"
+#include "fft/dft.hpp"
 #include "mesh/decomp.hpp"
 #include "ops/filter.hpp"
 #include "util/math.hpp"
@@ -83,6 +85,49 @@ TEST(Filter, NearEquatorLineAlmostUntouched) {
   for (int i = 0; i < 48; ++i)
     EXPECT_NEAR(line[static_cast<std::size_t>(i)],
                 orig[static_cast<std::size_t>(i)], 1e-10);
+}
+
+// filter_line against a direct reference: full-length fft::dft forward,
+// damping min(1, sin(theta) nx / (2 ny) / sin(pi m / nx)) evaluated with
+// std::sin on bins m and nx - m, fft::dft inverse.  Pins the precomputed
+// damping and real-split tables at a polar row and at the last row inside
+// the filter band, on a mixed-radix (96) and a Bluestein (34) line.
+TEST(Filter, FilterLineMatchesDirectReference) {
+  for (const int nx : {96, 34}) {
+    const int ny = nx / 2;
+    Fixture f(nx, ny, 4);
+    FourierFilter filt(f.ctx);
+    int edge = 0;
+    while (filt.row_active(edge + 1)) ++edge;
+    ASSERT_LT(edge, ny / 2) << "band must end before the equator";
+    for (const int gj : {0, edge}) {
+      const double sin_theta = std::sin((gj + 0.5) * util::kPi / ny);
+      const auto n = static_cast<std::size_t>(nx);
+      std::vector<double> line(n);
+      for (std::size_t i = 0; i < n; ++i)
+        line[i] = std::sin(0.37 * static_cast<double>(i * i) + gj) +
+                  0.5 * std::cos(2.9 * static_cast<double>(i));
+      double max_abs = 0.0;
+      for (double v : line) max_abs = std::max(max_abs, std::abs(v));
+
+      std::vector<fft::cplx> in(n), spec(n), back(n);
+      for (std::size_t i = 0; i < n; ++i) in[i] = fft::cplx{line[i], 0.0};
+      fft::dft(in, spec, /*inverse=*/false);
+      for (std::size_t m = 1; m <= n / 2; ++m) {
+        const double d = std::min(
+            1.0, sin_theta * nx / (2.0 * ny) /
+                     std::sin(util::kPi * static_cast<double>(m) / nx));
+        spec[m] *= d;
+        if (m != n - m) spec[n - m] *= d;
+      }
+      fft::dft(spec, back, /*inverse=*/true);
+
+      filt.filter_line(line, sin_theta);
+      for (std::size_t i = 0; i < n; ++i)
+        EXPECT_NEAR(line[i], back[i].real(), 1e-12 * max_abs)
+            << "nx=" << nx << " row=" << gj << " i=" << i;
+    }
+  }
 }
 
 TEST(Filter, IsLinear) {
