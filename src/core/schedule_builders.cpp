@@ -4,6 +4,8 @@
 #include <cmath>
 
 #include "mesh/decomp.hpp"
+#include "ops/context.hpp"
+#include "ops/filter.hpp"
 #include "perf/cost.hpp"
 
 namespace ca::core {
@@ -106,18 +108,9 @@ struct FilterWork {
 };
 
 FilterWork filter_lines(const ScheduleParams& p, const RankGeom& g) {
-  // filter_fraction of all rows are active, split evenly at both poles.
-  const long long band =
-      static_cast<long long>(p.filter_fraction * p.mesh.ny / 2.0);
-  auto overlap = [&](long long lo, long long hi) {
-    return std::max<long long>(
-        0, std::min<long long>(hi, g.yr.end()) -
-               std::max<long long>(lo, g.yr.begin));
-  };
-  const long long rows = overlap(0, band) + overlap(p.mesh.ny - band,
-                                                    p.mesh.ny);
   FilterWork w;
-  w.lines = rows * (p.fields3d * g.lnz() + 1);
+  w.lines = static_cast<long long>(modeled_filter_rows(p, g.rank)) *
+            (p.fields3d * g.lnz() + 1);
   return w;
 }
 
@@ -375,6 +368,16 @@ perf::Schedule build_ca_schedule(const ScheduleParams& p,
     }
   }
   return s;
+}
+
+int modeled_filter_rows(const ScheduleParams& params, int rank) {
+  const mesh::Range yr = geom_of(params, rank).yr;
+  const double band = ops::ModelParams{}.filter_band;
+  int rows = 0;
+  for (int gj = yr.begin; gj < yr.end(); ++gj)
+    if (ops::filter_row_active(gj, static_cast<int>(params.mesh.ny), band))
+      ++rows;
+  return rows;
 }
 
 }  // namespace ca::core

@@ -23,9 +23,6 @@ struct ScheduleParams {
   int steps = 1;
   /// Number of 3-D prognostic fields exchanged (U, V, Phi).
   int fields3d = 3;
-  /// Colatitude band of active Fourier-filter rows (fraction of ny rows
-  /// filtered, both poles combined).
-  double filter_fraction = 0.35;
   /// Calibrated computation densities [flops per mesh point per update].
   double flops_adapt = 160.0;
   double flops_advect = 200.0;
@@ -54,5 +51,10 @@ perf::Schedule build_original_schedule(const ScheduleParams& params,
 
 perf::Schedule build_ca_schedule(const ScheduleParams& params,
                                  const perf::MachineModel& machine);
+
+/// Fourier-filter rows the model charges `rank` per update: the rows of
+/// its y block inside the functional filter's default band
+/// (ops::ModelParams::filter_band), counted with ops::filter_row_active.
+int modeled_filter_rows(const ScheduleParams& params, int rank);
 
 }  // namespace ca::core

@@ -20,8 +20,7 @@ FourierFilter::FourierFilter(const OpContext& ctx)
 }
 
 bool FourierFilter::row_active(int gj) const {
-  const double theta = (gj + 0.5) * util::kPi / ny_;
-  return theta < band_ || theta > util::kPi - band_;
+  return filter_row_active(gj, ny_, band_);
 }
 
 int FourierFilter::active_rows(int gj0, int gj1) const {

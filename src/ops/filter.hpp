@@ -24,8 +24,17 @@
 #include "mesh/halo.hpp"
 #include "ops/context.hpp"
 #include "state/state.hpp"
+#include "util/math.hpp"
 
 namespace ca::ops {
+
+/// True if the scalar row with global index gj of an ny-row mesh lies
+/// within `band` radians of a pole.  The filter and the event simulator's
+/// cost model both count filtered rows with this predicate.
+inline bool filter_row_active(int gj, int ny, double band) {
+  const double theta = (gj + 0.5) * util::kPi / ny;
+  return theta < band || theta > util::kPi - band;
+}
 
 class FourierFilter {
  public:

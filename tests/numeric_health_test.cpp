@@ -28,6 +28,7 @@
 #include "state/state.hpp"
 #include "util/checkpoint.hpp"
 #include "util/json.hpp"
+#include "service_test_support.hpp"
 #include "test_temp_dir.hpp"
 
 namespace ca::service {
@@ -47,6 +48,9 @@ core::DycoreConfig health_config() {
   return c;
 }
 
+using test_support::expect_bitwise;
+using test_support::ScopedUnsetEnv;
+using test_support::solo_run;
 using test_support::temp_dir;
 
 /// One corrupt_state rule: poke `field` (0=u 1=v 2=phi 3=psa) with `mode`
@@ -66,41 +70,9 @@ comm::FaultPlan poison_plan(int field, int mode, int step_idx,
   return plan;
 }
 
-state::State solo_run(JobSpec spec, const std::string& prefix) {
-  spec.faults = comm::FaultPlan();
-  spec.checkpoint_every = 0;
-  spec.comm = comm::RunOptions{};
-  AttemptResult r = run_attempt(spec, 1, 0, prefix, {});
-  EXPECT_TRUE(r.completed(spec.steps))
-      << "solo reference for '" << spec.name << "' failed: " << r.error;
-  return std::move(r.global);
-}
-
-void expect_bitwise(const state::State& got, const state::State& want,
-                    const std::string& name) {
-  ASSERT_GT(want.interior().volume(), 0) << name << ": empty reference";
-  const double diff = state::State::max_abs_diff(got, want, want.interior());
-  EXPECT_EQ(diff, 0.0) << name << ": recovered run diverged from solo run";
-}
-
 /// Pins the sentinel/retry knobs to what the tests set in code: the CI
 /// env-override legs flip these globally, and PoolOptions' env courtesy
 /// would otherwise override the values the scenarios depend on.
-struct ScopedUnsetEnv {
-  explicit ScopedUnsetEnv(const char* name) : name_(name) {
-    const char* v = ::getenv(name);
-    had_ = v != nullptr;
-    if (had_) saved_ = v;
-    ::unsetenv(name);
-  }
-  ~ScopedUnsetEnv() {
-    if (had_) ::setenv(name_, saved_.c_str(), 1);
-  }
-  const char* name_;
-  std::string saved_;
-  bool had_ = false;
-};
-
 struct PinnedHealthEnv {
   ScopedUnsetEnv cadence{"CA_AGCM_HEALTH_CADENCE"};
   ScopedUnsetEnv warmup{"CA_AGCM_HEALTH_GROWTH_WARMUP"};

@@ -8,13 +8,17 @@
 // decomposition tolerance when the pool had to reshape it.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <chrono>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "comm/context.hpp"
 #include "comm/error.hpp"
@@ -31,6 +35,7 @@
 #include "util/checkpoint.hpp"
 #include "util/config.hpp"
 #include "util/json.hpp"
+#include "service_test_support.hpp"
 #include "test_temp_dir.hpp"
 
 namespace ca {
@@ -285,18 +290,9 @@ core::DycoreConfig small_config() {
   return c;
 }
 
+using test_support::await_running;
+using test_support::solo_run;
 using test_support::temp_dir;
-
-state::State solo_run(svc::JobSpec spec, const std::string& prefix) {
-  spec.faults = comm::FaultPlan();
-  spec.node_faults.clear();
-  spec.checkpoint_every = 0;
-  spec.comm = comm::RunOptions{};
-  svc::AttemptResult r = svc::run_attempt(spec, 1, 0, prefix, {});
-  EXPECT_TRUE(r.completed(spec.steps))
-      << "solo reference for '" << spec.name << "' failed: " << r.error;
-  return std::move(r.global);
-}
 
 /// A preemptible 4-step job with a node-resident fault on POOL rank 0,
 /// fired at attempt-local step 1 — after the first step's checkpoint, so
@@ -348,7 +344,16 @@ TEST(RankFailureService, KillRecoversBitwiseUnderEveryCore) {
     opt.quarantine_seconds = 60.0;
     svc::EnsembleService service(opt);
     const int id = service.submit(spec);
-    service.wait(id);
+    // The victim must own the lowest pool ranks, which the kill targets,
+    // before a serial bystander arrives on a free rank of its own.
+    await_running(service, id);
+    svc::JobSpec bystander;
+    bystander.name = "bystander";
+    bystander.core = svc::CoreKind::kSerial;
+    bystander.config = small_config();
+    bystander.steps = 8;
+    const int b = service.submit(bystander);
+    service.drain();
 
     const svc::JobResult r = service.result(id);
     ASSERT_EQ(r.state, svc::JobState::kCompleted) << r.error;
@@ -361,9 +366,15 @@ TEST(RankFailureService, KillRecoversBitwiseUnderEveryCore) {
         r.final_state, reference, reference.interior());
     EXPECT_EQ(diff, 0.0)
         << "checkpoint recovery diverged from the fault-free run";
+    EXPECT_EQ(service.state(b), svc::JobState::kCompleted)
+        << service.result(b).error;
 
     const util::Json report = service.report();
     EXPECT_EQ(svc::validate_report(report), "");
+    // Scheduling never pauses for a recovery: the bystander runs beside
+    // the victim's detection and re-queue.
+    EXPECT_GE(report.find("service")->find("max_concurrent_jobs")->as_double(),
+              2.0);
     const util::Json* health = report.find("health");
     ASSERT_NE(health, nullptr);
     EXPECT_GE(health->find("quarantines")->as_double(), 1.0);
@@ -409,51 +420,113 @@ TEST(RankFailureService, HangRecoversBitwiseUnderEveryCore) {
   }
 }
 
+/// Smallest share, over the rank timelines (pid, tid) of a merged Chrome
+/// trace, of the time inside "campaign" spans that the other spans on the
+/// same timeline cover (interval union, clipped to each campaign span).
+/// Timelines without a campaign span are skipped; -1 when there is none.
+double min_campaign_span_coverage(const util::Json& trace) {
+  std::map<std::pair<int, int>,
+           std::array<std::vector<std::array<double, 2>>, 2>>
+      lines;  // [0] campaign windows, [1] every other complete span
+  for (const util::Json& ev : trace.find("traceEvents")->items()) {
+    if (ev.find("ph")->as_string() != "X") continue;
+    const double ts = ev.find("ts")->as_double();
+    const double end = ts + ev.find("dur")->as_double();
+    auto& line = lines[{static_cast<int>(ev.find("pid")->as_double()),
+                        static_cast<int>(ev.find("tid")->as_double())}];
+    line[ev.find("name")->as_string() == "campaign" ? 0 : 1].push_back(
+        {ts, end});
+  }
+  double min_cov = -1.0;
+  for (auto& [key, line] : lines) {
+    auto& [wins, spans] = line;
+    if (wins.empty()) continue;
+    std::sort(spans.begin(), spans.end());
+    double total = 0.0, covered = 0.0;
+    for (const auto& w : wins) {
+      total += w[1] - w[0];
+      double cursor = w[0];
+      for (const auto& sp : spans) {
+        const double lo = std::max(sp[0], cursor);
+        const double hi = std::min(sp[1], w[1]);
+        if (hi <= lo) continue;
+        covered += hi - lo;
+        cursor = hi;
+      }
+    }
+    if (total > 0.0) {
+      const double cov = covered / total;
+      min_cov = min_cov < 0.0 ? cov : std::min(min_cov, cov);
+    }
+  }
+  return min_cov;
+}
+
 TEST(RankFailureService, TracedSerialRecoveryRunsTheSharedRestorePath) {
   // A serial job is a one-rank world on the same attempt path as the
   // other cores: its merged trace shows the campaign's spans and the
   // restore span of its kill recovery under the job's pid, and its one
-  // rank records no comm traffic.
-  const std::string dir = temp_dir("traced_serial");
-  const svc::JobSpec spec =
-      faulted_spec("traced_serial", svc::CoreKind::kSerial, {1, 1, 1},
-                   comm::FaultKind::kKillRank);
-  obs::TraceCollector collector;
-  svc::ServiceOptions opt;
-  opt.slots = 1;
-  opt.rank_budget = 2;
-  opt.checkpoint_dir = dir;
-  opt.quarantine_seconds = 60.0;
-  opt.obs.trace = true;
-  opt.obs.dump_dir = dir;
-  opt.trace_sink = &collector;
-  int id = -1;
-  util::Json report;
-  {
-    svc::EnsembleService service(opt);
-    id = service.submit(spec);
-    service.wait(id);
-    const svc::JobResult r = service.result(id);
-    ASSERT_EQ(r.state, svc::JobState::kCompleted) << r.error;
-    EXPECT_GE(r.metrics.rank_recoveries, 1)
-        << "the kill never fired; the scenario is vacuous";
-    report = service.report();
+  // rank records no comm traffic.  The original-core input is the traced
+  // multi-rank failover: on every rank the spans inside "campaign" must
+  // account for at least 95% of it — untraced step time would mean the
+  // timeline misplaces where a failover run went.  Both merged traces
+  // must be valid.
+  for (const CoreCase& c : kCoreCases) {
+    if (c.core == svc::CoreKind::kCA) continue;
+    SCOPED_TRACE(c.tag);
+    const std::string dir = temp_dir(std::string("traced_") + c.tag);
+    const svc::JobSpec spec = faulted_spec(std::string("traced_") + c.tag,
+                                           c.core, c.dims,
+                                           comm::FaultKind::kKillRank);
+    obs::TraceCollector collector;
+    svc::ServiceOptions opt;
+    opt.slots = 1;
+    // One spare rank beyond the job's width: the struck rank stays
+    // quarantined and the recovery still fits.
+    opt.rank_budget = c.dims[0] * c.dims[1] * c.dims[2] + 1;
+    opt.checkpoint_dir = dir;
+    opt.quarantine_seconds = 60.0;
+    opt.obs.trace = true;
+    opt.obs.dump_dir = dir;
+    opt.trace_sink = &collector;
+    int id = -1;
+    util::Json report;
+    {
+      svc::EnsembleService service(opt);
+      id = service.submit(spec);
+      service.wait(id);
+      const svc::JobResult r = service.result(id);
+      ASSERT_EQ(r.state, svc::JobState::kCompleted) << r.error;
+      EXPECT_GE(r.metrics.rank_recoveries, 1)
+          << "the kill never fired; the scenario is vacuous";
+      report = service.report();
+    }  // the service's destructor flushes the scheduler's ring
+
+    const util::Json trace = collector.chrome_trace();
+    EXPECT_EQ(obs::validate_chrome_trace(trace), "");
+    std::set<std::string> names;
+    for (const util::Json& ev : trace.find("traceEvents")->items())
+      if (ev.find("ph")->as_string() != "M" &&
+          ev.find("pid")->as_double() == id &&
+          ev.find("tid")->as_double() == 0)
+        names.insert(ev.find("name")->as_string());
+    for (const char* expected : {"campaign", "health_check", "restore"})
+      EXPECT_TRUE(names.count(expected))
+          << "the job's rank-0 timeline lacks span '" << expected << "'";
+
+    if (c.core == svc::CoreKind::kSerial) {
+      const util::Json* comm = report.find("jobs")->items()[0].find("comm");
+      ASSERT_NE(comm, nullptr);
+      for (const char* key : {"messages", "bytes", "collective_calls"})
+        EXPECT_EQ(comm->find(key)->as_double(), 0.0) << key;
+      continue;
+    }
+    const double coverage = min_campaign_span_coverage(trace);
+    std::printf("[%s] campaign span coverage %.4f (min over ranks)\n", c.tag,
+                coverage);
+    EXPECT_GE(coverage, 0.95)
+        << "spans inside 'campaign' leave its wall time unaccounted for";
   }
-
-  const util::Json trace = collector.chrome_trace();
-  std::set<std::string> names;
-  for (const util::Json& ev : trace.find("traceEvents")->items())
-    if (ev.find("ph")->as_string() != "M" &&
-        ev.find("pid")->as_double() == id && ev.find("tid")->as_double() == 0)
-      names.insert(ev.find("name")->as_string());
-  for (const char* expected : {"campaign", "health_check", "restore"})
-    EXPECT_TRUE(names.count(expected))
-        << "the serial job's timeline lacks span '" << expected << "'";
-
-  const util::Json* comm = report.find("jobs")->items()[0].find("comm");
-  ASSERT_NE(comm, nullptr);
-  for (const char* key : {"messages", "bytes", "collective_calls"})
-    EXPECT_EQ(comm->find(key)->as_double(), 0.0) << key;
 }
 
 TEST(RankFailureService, RecoveryNeverResumesAnotherServicesCheckpoints) {

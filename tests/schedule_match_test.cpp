@@ -4,10 +4,14 @@
 // decompositions.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "comm/runtime.hpp"
 #include "core/ca_core.hpp"
 #include "core/original_core.hpp"
 #include "core/schedule_builders.hpp"
+#include "mesh/decomp.hpp"
+#include "ops/filter.hpp"
 #include "perf/event_sim.hpp"
 
 namespace ca::core {
@@ -245,6 +249,44 @@ TEST(ScheduleShape, ModeledRuntimeOrderingMatchesPaper) {
           .makespan;
   EXPECT_GT(t_xy, t_yz);
   EXPECT_GT(t_yz, t_ca);
+}
+
+TEST(FilterRows, ModelChargesTheRowsTheFunctionalFilterTransforms) {
+  // The modeled F cost of every rank counts the same rows the functional
+  // filter transforms in that rank's y block, at the default band.
+  struct Case {
+    int nx, ny;
+    std::vector<int> pys;
+  };
+  for (const Case& c : {Case{96, 48, {1, 2, 4, 5, 16}},
+                        Case{720, 360, {1, 7, 64, 128}}}) {
+    const mesh::LatLonMesh mesh(c.nx, c.ny, 8);
+    ops::OpContext ctx;
+    ctx.mesh = &mesh;
+    const ops::FourierFilter filt(ctx);
+    for (int py : c.pys) {
+      SCOPED_TRACE(::testing::Message()
+                   << c.nx << "x" << c.ny << " py=" << py);
+      ScheduleParams p;
+      p.mesh = {c.nx, c.ny, 8};
+      p.grid = {1, py, 2};
+      int total = 0;
+      for (int cz = 0; cz < 2; ++cz)
+        for (int cy = 0; cy < py; ++cy) {
+          const mesh::DomainDecomp d(mesh, {1, py, 2}, {0, cy, cz});
+          const int rows = modeled_filter_rows(p, cy + py * cz);
+          EXPECT_EQ(rows, filt.active_rows(d.yr().begin, d.yr().end()))
+              << "rank (" << cy << ", " << cz << ")";
+          if (cz == 0) total += rows;
+        }
+      EXPECT_EQ(total, filt.active_rows(0, c.ny));
+    }
+  }
+  // 1.0 rad from each pole: 115 of 360 rows per pole at 720x360.
+  const mesh::LatLonMesh paper(720, 360, 30);
+  ops::OpContext ctx;
+  ctx.mesh = &paper;
+  EXPECT_EQ(ops::FourierFilter(ctx).active_rows(0, 360), 2 * 115);
 }
 
 }  // namespace

@@ -19,6 +19,7 @@
 #include "service/service.hpp"
 #include "state/state.hpp"
 #include "util/checkpoint.hpp"
+#include "service_test_support.hpp"
 #include "test_temp_dir.hpp"
 
 namespace ca::service {
@@ -62,56 +63,15 @@ core::CAOptions exact_ca_options() {
   return o;
 }
 
+using test_support::await_running;
+using test_support::expect_bitwise;
+using test_support::solo_run;
+// Pins a test to fixed job shapes: under the CI elastic leg's env override
+// the scheduler may squeeze a queued wide job to a narrower decomposition,
+// which paper-mode CA does not survive bitwise — that path is covered by
+// the exact-mode CAElasticSqueezeAndRegrowBitwise test below.
+using test_support::ScopedUnsetEnv;
 using test_support::temp_dir;
-
-/// Solo reference: the same spec run once, uninterrupted and fault-free,
-/// through the identical attempt machinery the service uses.
-state::State solo_run(JobSpec spec, const std::string& prefix) {
-  spec.faults = comm::FaultPlan();
-  spec.checkpoint_every = 0;
-  spec.comm = comm::RunOptions{};
-  AttemptResult r = run_attempt(spec, 1, 0, prefix, {});
-  EXPECT_TRUE(r.completed(spec.steps))
-      << "solo reference for '" << spec.name << "' failed: " << r.error;
-  return std::move(r.global);
-}
-
-void expect_bitwise(const state::State& got, const state::State& want,
-                    const std::string& name) {
-  ASSERT_GT(want.interior().volume(), 0) << name << ": empty reference";
-  const double diff =
-      state::State::max_abs_diff(got, want, want.interior());
-  EXPECT_EQ(diff, 0.0) << name << ": service result diverged from solo run";
-}
-
-/// Pins a test to fixed job shapes: under the CI elastic leg's env
-/// override the scheduler may squeeze a queued wide job to a narrower
-/// decomposition, which paper-mode CA does not survive bitwise — that
-/// path is covered by the exact-mode CAElasticSqueezeAndRegrowBitwise
-/// test below.  Restores the variable on destruction.
-struct ScopedUnsetEnv {
-  explicit ScopedUnsetEnv(const char* name) : name_(name) {
-    const char* v = ::getenv(name);
-    had_ = v != nullptr;
-    if (had_) saved_ = v;
-    ::unsetenv(name);
-  }
-  ~ScopedUnsetEnv() {
-    if (had_) ::setenv(name_, saved_.c_str(), 1);
-  }
-  const char* name_;
-  std::string saved_;
-  bool had_ = false;
-};
-
-void await_running(EnsembleService& svc, int id) {
-  const auto start = Clock::now();
-  while (svc.state(id) == JobState::kQueued) {
-    ASSERT_LT(elapsed_seconds(start), 30.0) << "job " << id << " never ran";
-    std::this_thread::sleep_for(std::chrono::microseconds(200));
-  }
-  ASSERT_EQ(svc.state(id), JobState::kRunning);
-}
 
 TEST(ServiceSoak, MixedQueueCompletesOrFailsTerminally) {
   const ScopedUnsetEnv elastic_off("CA_AGCM_SERVICE_ELASTIC");
@@ -395,6 +355,11 @@ TEST(ServiceSoak, CAElasticSqueezeAndRegrowBitwise) {
   ASSERT_NE(s, nullptr);
   EXPECT_GE(s->find("elastic_shrinks")->as_double(), 1.0);
   EXPECT_GE(s->find("elastic_grows")->as_double(), 1.0);
+  // The utilization payoff as an event count: a squeeze only happens
+  // while the blocker holds ranks, so the narrow CA job ran beside it.
+  // Without elasticity the CA job waits for its full shape and the pool
+  // never runs two jobs at once.
+  EXPECT_GE(s->find("max_concurrent_jobs")->as_double(), 2.0);
 }
 
 TEST(ServiceSoak, ConcurrentShutdownIsSafe) {
@@ -633,12 +598,12 @@ TEST(ServiceSoak, AgingBoundsLowPriorityWaitUnderABimodalMix) {
 }
 
 TEST(ServiceSoak, RetryCompletesAfterTransientFault) {
-  // A narrowly scoped low-probability corrupt rule with a seed chosen (by
-  // scanning, see bench/bench_service_throughput.cpp) so that attempt 1
-  // (seed) injects at least one corruption — the attempt dies with a
-  // ChecksumError — while the reseeded attempt 2 (seed + 1) injects
-  // nothing and completes.  The service's retry-with-backoff must carry
-  // the job to kCompleted with the solo-run state, bit for bit.
+  // A narrowly scoped low-probability corrupt rule with a seed chosen by
+  // scanning (kTransientSeed) so that attempt 1 (seed) injects at least
+  // one corruption — the attempt dies with a ChecksumError — while the
+  // reseeded attempt 2 (seed + 1) injects nothing and completes.  The
+  // service's retry-with-backoff must carry the job to kCompleted with
+  // the solo-run state, bit for bit.
   const core::DycoreConfig cfg = soak_config();
   const std::string dir = temp_dir("retry");
 

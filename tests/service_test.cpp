@@ -370,6 +370,9 @@ TEST(Service, ReportValidatesAgainstItsSchema) {
   ASSERT_NE(svc_obj, nullptr);
   EXPECT_EQ(svc_obj->find("jobs_completed")->as_double(), 2.0);
   EXPECT_EQ(svc_obj->find("jobs_failed")->as_double(), 0.0);
+  // Two identical jobs, two slots, one rank each: the pool multiplexes
+  // them instead of running one after the other.
+  EXPECT_GE(svc_obj->find("max_concurrent_jobs")->as_double(), 2.0);
 
   // Both tiny jobs met their hour-long deadline.
   for (const auto& e : doc.find("jobs")->items())
